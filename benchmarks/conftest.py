@@ -7,7 +7,6 @@ section, prints it, and persists the rendered text under
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 import pytest
@@ -40,15 +39,11 @@ def perf_records():
     partial run — e.g. ``pytest benchmarks/perf -m perf_smoke`` — only
     refreshes the entries it actually measured.
     """
+    # Imported here: benchmarks/e2e puts src/ on the path itself and must
+    # collect without the package installed.
+    from repro.utils import update_journal
+
     records = {}
     yield records
-    if not records:
-        return
-    payload = {"benchmarks": {}}
-    if BENCH_PERF_PATH.exists():
-        try:
-            payload = json.loads(BENCH_PERF_PATH.read_text())
-        except json.JSONDecodeError:
-            pass
-    payload.setdefault("benchmarks", {}).update(records)
-    BENCH_PERF_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    for name, record in records.items():
+        update_journal(BENCH_PERF_PATH, name, lambda previous: record)

@@ -11,14 +11,14 @@ from conftest import emit
 
 from repro.analysis import conflict_report
 from repro.core import DomainNegotiation, TrainConfig
-from repro.data import taobao10_sim
+from repro.data import taobao_sim
 from repro.frameworks import Alternate
 from repro.models import build_model
 from repro.utils.tables import format_table
 
 
 def run_conflict_analysis(seed=0):
-    dataset = taobao10_sim(scale=0.8, seed=seed)
+    dataset = taobao_sim(10, scale=0.8, seed=seed)
     rng = np.random.default_rng(seed)
     config = TrainConfig(epochs=6)
     rows = {}

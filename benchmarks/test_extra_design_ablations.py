@@ -12,7 +12,7 @@ import numpy as np
 from conftest import emit
 
 from repro.core import MAMDR, TrainConfig
-from repro.data import taobao10_sim
+from repro.data import taobao_sim
 from repro.metrics import evaluate_bank
 from repro.models import build_model
 from repro.utils.tables import format_table
@@ -30,7 +30,7 @@ def run_ablations(seeds=(0, 1)):
     for label, overrides in VARIANTS:
         aucs = []
         for seed in seeds:
-            dataset = taobao10_sim(scale=0.8, seed=seed)
+            dataset = taobao_sim(10, scale=0.8, seed=seed)
             config = TrainConfig().updated(**overrides)
             model = build_model("mlp", dataset, seed=seed)
             bank = MAMDR().fit(model, dataset, config, seed=seed)

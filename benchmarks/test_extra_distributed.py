@@ -28,7 +28,7 @@ def run_distributed(seed=0):
     stats = {}
     for mode in ("async", "sync"):
         cluster = SimulatedCluster(n_workers=4, mode=mode)
-        bank = cluster.fit(
+        bank = cluster.run(
             lambda wid: build_model("mlp", dataset, seed=seed),
             dataset, config, seed=seed, use_dr=True,
         )

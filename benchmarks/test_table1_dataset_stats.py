@@ -6,9 +6,7 @@ from repro.data import (
     amazon6_sim,
     amazon13_sim,
     overall_stats_table,
-    taobao10_sim,
-    taobao20_sim,
-    taobao30_sim,
+    taobao_sim,
     taobao_online_sim,
 )
 
@@ -17,9 +15,9 @@ def build_all():
     return [
         amazon6_sim(),
         amazon13_sim(),
-        taobao10_sim(),
-        taobao20_sim(),
-        taobao30_sim(),
+        taobao_sim(10),
+        taobao_sim(20),
+        taobao_sim(30),
         taobao_online_sim(n_domains=40, total_samples=20_000),
     ]
 

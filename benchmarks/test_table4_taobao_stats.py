@@ -4,15 +4,13 @@ from conftest import emit
 
 from repro.data import (
     per_domain_stats_table,
-    taobao10_sim,
-    taobao20_sim,
-    taobao30_sim,
+    taobao_sim,
 )
 
 
 def test_table4_taobao_stats(benchmark, results_dir):
     datasets = benchmark.pedantic(
-        lambda: (taobao10_sim(), taobao20_sim(), taobao30_sim()),
+        lambda: (taobao_sim(10), taobao_sim(20), taobao_sim(30)),
         rounds=1, iterations=1,
     )
     text = "\n\n".join(

@@ -7,13 +7,13 @@ Run:  python examples/framework_shootout.py
 """
 
 from repro.core import TrainConfig
-from repro.data import taobao10_sim
+from repro.data import taobao_sim
 from repro.experiments import MethodSpec, run_comparison
 from repro.experiments.table10 import TABLE10_FRAMEWORKS
 
 
 def main():
-    dataset = taobao10_sim(scale=0.8, seed=0)
+    dataset = taobao_sim(10, scale=0.8, seed=0)
     config = TrainConfig(epochs=6)
     specs = [
         MethodSpec(label, model="mlp", framework=name)

@@ -11,13 +11,13 @@ Run:  python examples/onboard_new_domain.py
 """
 
 from repro.core import MAMDR, TrainConfig, extend_bank
-from repro.data import MultiDomainDataset, taobao10_sim
+from repro.data import MultiDomainDataset, taobao_sim
 from repro.metrics import evaluate_bank
 from repro.models import build_model
 
 
 def main():
-    full = taobao10_sim(scale=1.0, seed=1)
+    full = taobao_sim(10, scale=1.0, seed=1)
     new_index = full.n_domains - 1
     existing = MultiDomainDataset(
         full.name, full.domains[:new_index],

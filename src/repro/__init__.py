@@ -33,11 +33,11 @@ Subpackages
 
 Quickstart
 ----------
->>> from repro.data import taobao10_sim
+>>> from repro.data import taobao_sim
 >>> from repro.models import build_model
 >>> from repro.core import MAMDR, TrainConfig
 >>> from repro.metrics import evaluate_bank
->>> dataset = taobao10_sim(scale=0.5)
+>>> dataset = taobao_sim(10, scale=0.5)
 >>> model = build_model("mlp", dataset, seed=0)
 >>> bank = MAMDR().fit(model, dataset, TrainConfig(epochs=2), seed=0)
 >>> report = evaluate_bank(bank, dataset, method="MLP+MAMDR")

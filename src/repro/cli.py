@@ -281,29 +281,39 @@ def _run_train(args):
     return 0
 
 
+def _session_config(args):
+    """The ``--config`` session file, or ``None`` when not given."""
+    if args.config is None:
+        return None
+    from .train import SessionConfig
+
+    return SessionConfig.from_file(args.config)
+
+
+def _journal(write, record, out):
+    """Merge ``record`` into the bench's journal (its default path when
+    ``--out`` is not given) unless ``--out -``."""
+    if out == "-":
+        return
+    path = write(record) if out is None else write(record, out)
+    print(f"results appended to {path}")
+
+
 def _run_serve_bench(args):
     from .serving.bench import (
-        DEFAULT_BENCH_PATH,
         render_serve_bench,
         run_serve_bench,
         write_bench_record,
     )
 
-    session = None
-    if args.config is not None:
-        from .train import SessionConfig
-
-        session = SessionConfig.from_file(args.config)
+    session = _session_config(args)
     record = run_serve_bench(
         batch_sizes=args.batch_sizes, n_requests=args.requests,
         seed=args.seed, epochs=args.epochs, verbose=args.verbose,
         session=session,
     )
     print(render_serve_bench(record))
-    out = args.out if args.out is not None else DEFAULT_BENCH_PATH
-    if out != "-":
-        path = write_bench_record(record, out)
-        print(f"results appended to {path}")
+    _journal(write_bench_record, record, args.out)
     if not all(entry["parity"] for entry in record["settings"].values()):
         print("serving/offline parity FAILED", file=sys.stderr)
         return 1
@@ -312,27 +322,19 @@ def _run_serve_bench(args):
 
 def _run_traffic_bench(args):
     from .traffic.loadbench import (
-        DEFAULT_BENCH_PATH,
         render_traffic_bench,
         run_traffic_bench,
         write_traffic_record,
     )
 
-    session = None
-    if args.config is not None:
-        from .train import SessionConfig
-
-        session = SessionConfig.from_file(args.config)
+    session = _session_config(args)
     record = run_traffic_bench(
         worker_counts=args.workers, n_requests=args.requests,
         max_batch=args.max_batch, seed=args.seed, epochs=args.epochs,
         session=session,
     )
     print(render_traffic_bench(record))
-    out = args.out if args.out is not None else DEFAULT_BENCH_PATH
-    if out != "-":
-        path = write_traffic_record(record, out)
-        print(f"results appended to {path}")
+    _journal(write_traffic_record, record, args.out)
     failed = record["parity"]["ok"] is False
     overload = record["overload"]
     if overload is not None and not (
@@ -348,7 +350,6 @@ def _run_traffic_bench(args):
 
 def _run_domains_bench(args):
     from .core.domains_bench import (
-        DEFAULT_BENCH_PATH,
         render_domains_bench,
         run_domains_bench,
         write_bench_record,
@@ -359,10 +360,7 @@ def _run_domains_bench(args):
         dense_limit=args.dense_limit, seed=args.seed, verbose=args.verbose,
     )
     print(render_domains_bench(record))
-    out = args.out if args.out is not None else DEFAULT_BENCH_PATH
-    if out != "-":
-        path = write_bench_record(record, out)
-        print(f"results appended to {path}")
+    _journal(write_bench_record, record, args.out)
     if not all(cell["serve_parity"] for cell in record["cells"]):
         print("serving/offline parity FAILED", file=sys.stderr)
         return 1
@@ -371,7 +369,6 @@ def _run_domains_bench(args):
 
 def _run_data_bench(args):
     from .data.databench import (
-        DEFAULT_BENCH_PATH,
         check_data_bench,
         render_data_bench,
         run_data_bench,
@@ -384,10 +381,7 @@ def _run_data_bench(args):
         seed=args.seed, verbose=args.verbose,
     )
     print(render_data_bench(record))
-    out = args.out if args.out is not None else DEFAULT_BENCH_PATH
-    if out != "-":
-        path = write_bench_record(record, out)
-        print(f"results appended to {path}")
+    _journal(write_bench_record, record, args.out)
     verdict = check_data_bench(record)
     if not verdict["ok"]:
         print("data-bench acceptance FAILED", file=sys.stderr)
@@ -399,7 +393,6 @@ def _run_online_sim(args):
     from dataclasses import replace
 
     from .online.sim import (
-        DEFAULT_BENCH_PATH,
         OnlineSimConfig,
         build_sim_config,
         render_online_sim,
@@ -408,9 +401,7 @@ def _run_online_sim(args):
     )
 
     if args.config is not None:
-        from .train import SessionConfig
-
-        config = build_sim_config(SessionConfig.from_file(args.config))
+        config = build_sim_config(_session_config(args))
     else:
         config = OnlineSimConfig(seed=args.seed)
     if args.config is not None and args.seed != 0:
@@ -437,10 +428,7 @@ def _run_online_sim(args):
         config = config.updated(backend=args.backend)
     results = run_online_sim(config, verbose=args.verbose)
     print(render_online_sim(results))
-    out = args.out if args.out is not None else DEFAULT_BENCH_PATH
-    if out != "-":
-        path = write_bench_record(results, out)
-        print(f"results appended to {path}")
+    _journal(write_bench_record, results, args.out)
     if not results["parity"]["exact"]:
         print("serving/offline parity FAILED", file=sys.stderr)
         return 1

@@ -17,9 +17,14 @@ per-domain delta dicts outside ``param_space.py`` is rejected by the
 
 from .clustering import domain_features, identity_plan, kmeans, plan_clusters
 from .config import TrainConfig
-from .mamdr import MAMDR
+from .mamdr import MAMDR, mamdr_epoch, train_space
 from .onboarding import extend_bank, onboard_domain
-from .negotiation import DomainNegotiation, domain_negotiation_epoch
+from .negotiation import (
+    DomainNegotiation,
+    alternate_pass,
+    domain_negotiation_epoch,
+    negotiate_shared,
+)
 from .param_space import (
     ClusteredDomainStore,
     ClusterPlan,
@@ -40,6 +45,7 @@ from .selection import (
 from .regularization import (
     DomainRegularization,
     domain_regularization_round,
+    regularize_groups,
     sample_helper_domains,
 )
 from .trainer import compute_loss_gradient, make_inner_optimizer, train_steps
@@ -48,12 +54,16 @@ __all__ = [
     # training frameworks + loops
     "TrainConfig",
     "MAMDR",
+    "mamdr_epoch",
+    "train_space",
     "onboard_domain",
     "extend_bank",
     "DomainNegotiation",
     "domain_negotiation_epoch",
+    "negotiate_shared",
     "DomainRegularization",
     "domain_regularization_round",
+    "regularize_groups",
     "sample_helper_domains",
     # the parameter plane (Eq. 4) and its storage protocol
     "DomainParameterSpace",
@@ -77,6 +87,7 @@ __all__ = [
     "finetune_with_selection",
     # inner-loop training
     "train_steps",
+    "alternate_pass",
     "make_inner_optimizer",
     "compute_loss_gradient",
 ]

@@ -37,10 +37,6 @@ class TrainConfig:
     inner_optimizer: str = "adam"   # optimizer for inner loops
     finetune_steps: int = 12        # steps for finetune-style baselines
     momentum: float = 0.0
-    compile_steps: bool | None = None  # route inner steps through the
-                                    # compile-and-replay executor; None
-                                    # inherits the ambient
-                                    # ``repro.nn.compiled_execution`` setting
 
     def __post_init__(self):
         if self.epochs <= 0:

@@ -18,8 +18,6 @@ exactly the wall the clustered-sharded backend removes.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 import tracemalloc
 
@@ -27,13 +25,12 @@ from ..data.batching import sample_batch
 from ..data.benchmarks import taobao_sim
 from ..models import build_model
 from ..serving.service import ServingService
+from ..utils.journal import merge_cells, update_journal
 from ..utils.seeding import spawn_rng
 from .clustering import plan_clusters
 from .config import TrainConfig
-from .param_space import ClusteredDomainStore, DomainParameterSpace
-from .negotiation import domain_negotiation_epoch
-from .regularization import domain_regularization_round
-from .trainer import make_inner_optimizer
+from .mamdr import train_space
+from .param_space import ClusteredDomainStore, DenseDomainStore
 
 __all__ = [
     "DEFAULT_BENCH_PATH",
@@ -75,33 +72,16 @@ def make_domains_dataset(n_domains, seed=0):
     )
 
 
-def _make_store(backend, dataset, clusters, seed):
+def _make_store(backend, model, dataset, clusters, seed):
+    """The ready store — built here so its allocation is timed as space
+    construction, not as training — and its cluster plan, if any."""
     if backend == "dense":
-        return None, None
+        return DenseDomainStore(model.state_dict(), dataset.n_domains), None
     plan = plan_clusters(
         dataset, n_clusters=clusters, seed=seed,
         head_fraction=min(0.01, 100 / max(dataset.n_domains, 1)),
     )
-    return (lambda shared: ClusteredDomainStore(shared, plan)), plan
-
-
-def _train(model, dataset, space, rng):
-    optimizer = make_inner_optimizer(model, BENCH_CONFIG)
-    view, groups = space.training_plan(dataset)
-    for _ in range(BENCH_CONFIG.epochs):
-        shared = space.shared
-        for _ in range(BENCH_CONFIG.dn_rounds):
-            shared = domain_negotiation_epoch(
-                model, view, shared, BENCH_CONFIG, rng, optimizer=optimizer
-            )
-        space.set_shared(shared)
-        for position, group in enumerate(groups):
-            delta = domain_regularization_round(
-                model, view, space, position, BENCH_CONFIG, rng,
-                delta=space.group_delta(group),
-            )
-            space.apply_delta(group, delta)
-    return len(groups)
+    return ClusteredDomainStore(model.state_dict(), plan), plan
 
 
 def _serve_sample(service, space, dataset, rng, sample_domains=32,
@@ -144,17 +124,16 @@ def bench_cell(n_domains, backend, clusters=64, seed=0, verbose=False):
          f"({result['total_interactions']} interactions)")
 
     start = time.perf_counter()
-    store, plan = _make_store(backend, dataset, clusters, seed)
     model = build_model("mlp", dataset, seed=seed)
-    space = DomainParameterSpace(model, dataset.n_domains, store=store)
+    store, plan = _make_store(backend, model, dataset, clusters, seed)
     result["build_space_s"] = round(time.perf_counter() - start, 4)
-    result["delta_plane_mb"] = round(space.nbytes() / 2**20, 3)
-    result["n_groups"] = len(space.groups())
+    result["delta_plane_mb"] = round(store.nbytes() / 2**20, 3)
+    result["n_groups"] = len(store.groups())
     if plan is not None:
         result["cluster_plan"] = plan.summary()
 
     start = time.perf_counter()
-    _train(model, dataset, space, rng)
+    space = train_space(model, dataset, BENCH_CONFIG, rng, store=store)
     result["train_s"] = round(time.perf_counter() - start, 4)
     note(f"{backend}/{n_domains}: trained {result['n_groups']} groups "
          f"in {result['train_s']}s")
@@ -245,24 +224,6 @@ def render_domains_bench(record):
 
 def write_bench_record(record, path=DEFAULT_BENCH_PATH):
     """Merge ``record`` into the domains benchmark journal at ``path``."""
-    path = pathlib.Path(path)
-    payload = {"benchmarks": {}}
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            payload = {"benchmarks": {}}
-    bench = payload.setdefault("benchmarks", {})
-    entry = bench.setdefault("domains_bench", {})
-    entry["settings"] = record["settings"]
-    # Merge cells by (n_domains, backend) so a smoke run refreshes its own
-    # cells without clobbering the rest of the recorded curve.
-    merged = {
-        (cell["n_domains"], cell["backend"]): cell
-        for cell in entry.get("cells", [])
-    }
-    for cell in record["cells"]:
-        merged[(cell["n_domains"], cell["backend"])] = cell
-    entry["cells"] = [merged[key] for key in sorted(merged)]
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return update_journal(path, "domains_bench", merge_cells(
+        record, lambda cell: (cell["n_domains"], cell["backend"])
+    ))

@@ -13,13 +13,41 @@ from __future__ import annotations
 
 from ..frameworks.base import LearningFramework, StateBank
 from ..utils.seeding import spawn_rng
-from .negotiation import domain_negotiation_epoch
+from .negotiation import domain_negotiation_epoch, negotiate_shared
 from .param_space import DomainParameterSpace
-from .regularization import domain_regularization_round
+from .regularization import regularize_groups
 from .selection import BestTracker, PerDomainTracker, model_split_auc
 from .trainer import make_inner_optimizer
 
-__all__ = ["MAMDR"]
+__all__ = ["MAMDR", "mamdr_epoch", "train_space"]
+
+
+def mamdr_epoch(model, view, groups, space, config, rng, optimizer):
+    """One epoch of Algorithm 3 on ``space``: DN on θ_S, then DR on every
+    group's delta.  ``view, groups`` are ``space.training_plan(dataset)``;
+    ``optimizer`` is DN's inner optimizer (DR builds its own per helper).
+    """
+    space.set_shared(
+        negotiate_shared(model, view, space.shared, config, rng, optimizer)
+    )
+    regularize_groups(model, view, groups, space, config, rng)
+
+
+def train_space(model, dataset, config, rng, store=None):
+    """``config.epochs`` of :func:`mamdr_epoch` from ``model``'s current
+    state; returns the live :class:`DomainParameterSpace`.
+
+    ``MAMDR.fit`` returns the best-checkpoint bank; callers that publish
+    or keep training need the space itself (θ_S + deltas).  One DN inner
+    optimizer lives for the whole run; ``store`` selects the parameter
+    backend as in :class:`MAMDR`.
+    """
+    space = DomainParameterSpace(model, dataset.n_domains, store=store)
+    view, groups = space.training_plan(dataset)
+    optimizer = make_inner_optimizer(model, config)
+    for _ in range(config.epochs):
+        mamdr_epoch(model, view, groups, space, config, rng, optimizer)
+    return space
 
 
 class MAMDR(LearningFramework):
@@ -66,25 +94,21 @@ class MAMDR(LearningFramework):
         # other per-domain frameworks.  Without DR there is one shared state.
         per_domain_tracker = PerDomainTracker(dataset.n_domains)
         shared_tracker = BestTracker()
-        shared_optimizer = make_inner_optimizer(model, config)
+        optimizer = make_inner_optimizer(model, config)
 
         for _ in range(config.epochs):
-            shared = self._update_shared(
-                model, view, space.shared, config, rng, shared_optimizer
-            )
-            space.set_shared(shared)
-
+            if self.use_dn and self.use_dr:
+                mamdr_epoch(model, view, groups, space, config, rng, optimizer)
+            else:
+                # The ablations compose the two sweeps themselves.
+                self._ablated_epoch(model, view, groups, space, config, rng,
+                                    optimizer)
             if self.use_dr:
-                for position, group in enumerate(groups):
-                    delta = domain_regularization_round(
-                        model, view, space, position, config, rng,
-                        delta=space.group_delta(group),
-                    )
-                    space.apply_delta(group, delta)
                 per_domain_tracker.update_from_space(model, dataset, space)
             else:
-                model.load_state_dict(shared)
-                shared_tracker.update(model_split_auc(model, dataset), shared)
+                model.load_state_dict(space.shared)
+                shared_tracker.update(model_split_auc(model, dataset),
+                                      space.shared)
 
         if self.use_dr:
             return StateBank(model, per_domain_tracker.best_states(),
@@ -97,17 +121,18 @@ class MAMDR(LearningFramework):
             default_state=best_shared,
         )
 
-    def _update_shared(self, model, dataset, shared, config, rng, optimizer):
+    def _ablated_epoch(self, model, view, groups, space, config, rng,
+                       optimizer):
         if self.use_dn:
-            # dn_rounds DN epochs: the β-damped outer step advances ~β of an
-            # alternate epoch, so 1/β rounds keep data-movement parity.
-            for _ in range(config.dn_rounds):
-                shared = domain_negotiation_epoch(
-                    model, dataset, shared, config, rng, optimizer=optimizer
-                )
-            return shared
-        # Ablation: plain alternate training (β = 1, no outer loop).
-        alternate_config = config.updated(outer_lr=1.0)
-        return domain_negotiation_epoch(
-            model, dataset, shared, alternate_config, rng, optimizer=optimizer
-        )
+            shared = negotiate_shared(
+                model, view, space.shared, config, rng, optimizer
+            )
+        else:
+            # Plain alternate training: β = 1, one pass, no outer loop.
+            shared = domain_negotiation_epoch(
+                model, view, space.shared, config.updated(outer_lr=1.0), rng,
+                optimizer=optimizer,
+            )
+        space.set_shared(shared)
+        if self.use_dr:
+            regularize_groups(model, view, groups, space, config, rng)

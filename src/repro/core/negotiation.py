@@ -17,14 +17,26 @@ every domain's loss and ascends the pairwise gradient inner-products
 from __future__ import annotations
 
 from ..frameworks.base import LearningFramework, SingleModelBank
-from ..nn.compile import compile_context
 from ..nn.state import clone_state, state_interpolate_
 from ..utils.seeding import spawn_rng
 from .param_space import live_state_view
 from .selection import BestTracker, model_split_auc
 from .trainer import make_inner_optimizer, train_steps
 
-__all__ = ["domain_negotiation_epoch", "DomainNegotiation"]
+__all__ = ["alternate_pass", "domain_negotiation_epoch", "negotiate_shared",
+           "DomainNegotiation"]
+
+
+def alternate_pass(model, dataset, optimizer, rng, config, split="train"):
+    """Visit every domain once in a freshly shuffled order, taking
+    ``config.inner_steps`` updates on each: Algorithm 1's inner trajectory
+    (lines 2-5), which is also one epoch of Alternate training."""
+    order = list(range(dataset.n_domains))
+    rng.shuffle(order)
+    for domain_index in order:
+        train_steps(model, getattr(dataset.domain(domain_index), split),
+                    domain_index, optimizer, rng, config.batch_size,
+                    config.inner_steps)
 
 
 def domain_negotiation_epoch(model, dataset, shared_state, config, rng,
@@ -42,26 +54,28 @@ def domain_negotiation_epoch(model, dataset, shared_state, config, rng,
     if optimizer is None:
         optimizer = make_inner_optimizer(model, config)
 
-    domain_order = list(range(dataset.n_domains))
-    rng.shuffle(domain_order)
-    with compile_context(config.compile_steps):
-        for domain_index in domain_order:
-            domain = dataset.domain(domain_index)
-            train_steps(
-                model,
-                getattr(domain, split),
-                domain_index,
-                optimizer,
-                rng,
-                config.batch_size,
-                config.inner_steps,
-            )
+    alternate_pass(model, dataset, optimizer, rng, config, split=split)
 
     # Eq. 3 without materializing model.state_dict(): interpolate the owned
     # clone toward a zero-copy view of the live parameters (one full-state
     # allocation per DN epoch instead of two).
     current = live_state_view(model)
     return state_interpolate_(clone_state(shared_state), current, config.outer_lr)
+
+
+def negotiate_shared(model, view, shared, config, rng, optimizer):
+    """Algorithm 1's outer loop: ``config.dn_rounds`` DN epochs on θ_S.
+
+    The β-damped outer step advances ~β of an alternate epoch, so 1/β
+    rounds keep data-movement parity.  ``optimizer`` is the caller's:
+    its slot state carries across rounds (and across calls).  Returns the
+    new shared state; ``shared`` itself is not mutated.
+    """
+    for _ in range(config.dn_rounds):
+        shared = domain_negotiation_epoch(
+            model, view, shared, config, rng, optimizer=optimizer
+        )
+    return shared
 
 
 class DomainNegotiation(LearningFramework):
@@ -79,10 +93,9 @@ class DomainNegotiation(LearningFramework):
         tracker = BestTracker()
         optimizer = make_inner_optimizer(model, config)
         for _ in range(config.epochs):
-            for _ in range(config.dn_rounds):
-                shared = domain_negotiation_epoch(
-                    model, dataset, shared, config, rng, optimizer=optimizer
-                )
+            shared = negotiate_shared(
+                model, dataset, shared, config, rng, optimizer
+            )
             model.load_state_dict(shared)
             tracker.update(model_split_auc(model, dataset), shared)
         model.load_state_dict(tracker.best)

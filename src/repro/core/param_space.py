@@ -27,15 +27,13 @@ with two backends:
   of O(n_domains) — which is what AdaptDHM-style cluster-granularity
   training needs to reach 10k-50k domains on one machine.
 
-:class:`DomainParameterSpace` is the façade every caller goes through;
-its legacy ``.deltas`` dict attribute survives as a ``DeprecationWarning``
-shim.  Direct delta-dict access outside this file is flagged by the
+:class:`DomainParameterSpace` is the façade every caller goes through.
+Direct delta-dict access outside this file is flagged by the
 ``theta-dict-access`` lint rule.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -560,11 +558,6 @@ class DomainParameterSpace:
         """The store's delta-sharing partition (training/serving units)."""
         return self._store.groups()
 
-    # DR's outer loop iterates these in order; the dense backend yields
-    # one singleton per domain (the historical iteration), the clustered
-    # backend one unit per cluster plus one per head domain.
-    update_groups = groups
-
     def group_delta(self, group):
         return self._store.group_delta(group)
 
@@ -637,19 +630,6 @@ class DomainParameterSpace:
             for name, param in model.named_parameters()
         )
 
-    def combined_cow(self, domain):
-        """``Θ_domain`` with zero-delta entries *aliasing* θ_S (no copy).
-
-        Copy-on-write materialization for snapshot publishing
-        (``repro.serving.snapshots``): a parameter whose specific delta is
-        exactly zero — the common case for untouched embedding tables and
-        frozen fields — is returned as the shared array itself rather than
-        an ``θ_S + 0`` copy, so publishing ``n_domains`` combined states
-        does not cost ``n_domains`` full model copies.  Callers must treat
-        the returned arrays as read-only; snapshot publishing freezes them.
-        """
-        return self._store.materialize_cow(domain)
-
     def all_combined(self):
         """``{domain: Θ_domain}`` for deployment as a StateBank.
 
@@ -663,26 +643,6 @@ class DomainParameterSpace:
             for domain in group.domains:
                 combined[domain] = state
         return combined
-
-    @property
-    def deltas(self):
-        """Deprecated: the per-domain delta dict of the dense layout.
-
-        Kept as a compatibility shim; iterating it materializes one
-        effective delta per domain, which defeats the clustered backend's
-        whole point.  Go through ``groups()`` / ``delta()`` /
-        ``apply_delta()`` instead.
-        """
-        warnings.warn(
-            "DomainParameterSpace.deltas is deprecated; use the "
-            "DomainParamStore protocol (groups()/delta()/apply_delta()) "
-            "instead of reaching into per-domain dicts",
-            DeprecationWarning, stacklevel=2,
-        )
-        return {
-            domain: self._store.delta(domain)
-            for domain in range(self.n_domains)
-        }
 
 
 def _cluster_view(dataset, groups):

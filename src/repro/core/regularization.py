@@ -17,14 +17,15 @@ delta moves, matching Figure 4(b).
 from __future__ import annotations
 
 from ..frameworks.base import LearningFramework, StateBank
-from ..nn.compile import compile_context
 from ..nn.state import clone_state, state_add, state_interpolate_
 from ..utils.seeding import spawn_rng
+from .negotiation import alternate_pass
 from .param_space import DomainParameterSpace
 from .selection import PerDomainTracker
 from .trainer import make_inner_optimizer, train_steps
 
-__all__ = ["sample_helper_domains", "domain_regularization_round", "DomainRegularization"]
+__all__ = ["sample_helper_domains", "domain_regularization_round",
+           "regularize_groups", "DomainRegularization"]
 
 
 def sample_helper_domains(rng, n_domains, target, k):
@@ -53,26 +54,42 @@ def domain_regularization_round(model, dataset, space, target, config, rng,
     helpers = sample_helper_domains(rng, dataset.n_domains, target, config.sample_k)
     target_table = getattr(dataset.domain(target), split)
 
-    with compile_context(config.compile_steps):
-        for helper in helpers:
-            # θ_i~ ← θ_i ; forward through θ_S + θ_i~ with a fresh inner
-            # optimizer.
-            model.load_state_dict(state_add(space.shared, delta))
-            optimizer = make_inner_optimizer(model, config)
+    for helper in helpers:
+        # θ_i~ ← θ_i ; forward through θ_S + θ_i~ with a fresh inner
+        # optimizer.
+        model.load_state_dict(state_add(space.shared, delta))
+        optimizer = make_inner_optimizer(model, config)
 
-            helper_table = getattr(dataset.domain(helper), split)
-            # Eq. 6: update on helper domain j ...
-            train_steps(model, helper_table, helper, optimizer, rng,
-                        config.batch_size, config.dr_steps)
-            # Eq. 7: ... then on the target domain i as the regularizer.
-            train_steps(model, target_table, target, optimizer, rng,
-                        config.batch_size, config.dr_steps)
+        helper_table = getattr(dataset.domain(helper), split)
+        # Eq. 6: update on helper domain j ...
+        train_steps(model, helper_table, helper, optimizer, rng,
+                    config.batch_size, config.dr_steps)
+        # Eq. 7: ... then on the target domain i as the regularizer.
+        train_steps(model, target_table, target, optimizer, rng,
+                    config.batch_size, config.dr_steps)
 
-            # Eq. 8: θ_i ← θ_i + γ (θ_i~ − θ_i), where θ_i~ = state − θ_S.
-            candidate = space.extract_delta(model)
-            state_interpolate_(delta, candidate, config.dr_lr)
+        # Eq. 8: θ_i ← θ_i + γ (θ_i~ − θ_i), where θ_i~ = state − θ_S.
+        candidate = space.extract_delta(model)
+        state_interpolate_(delta, candidate, config.dr_lr)
 
     return delta
+
+
+def regularize_groups(model, view, groups, space, config, rng):
+    """Algorithm 2's sweep: one DR round per delta-sharing group, in order.
+
+    ``view, groups`` come from ``space.training_plan(dataset)`` —
+    ``groups[i]`` trains on ``view.domain(i)`` — so the dense backend
+    visits every domain and the clustered one every cluster and head.
+    Each group's new delta is written back to ``space`` before the next
+    group's round starts.
+    """
+    for position, group in enumerate(groups):
+        delta = domain_regularization_round(
+            model, view, space, position, config, rng,
+            delta=space.group_delta(group),
+        )
+        space.apply_delta(group, delta)
 
 
 class DomainRegularization(LearningFramework):
@@ -98,21 +115,10 @@ class DomainRegularization(LearningFramework):
         for _ in range(config.epochs):
             # Alternate training of the shared state (DN is ablated away).
             model.load_state_dict(space.shared)
-            order = list(range(view.n_domains))
-            rng.shuffle(order)
-            for domain_index in order:
-                domain = view.domain(domain_index)
-                train_steps(model, domain.train, domain_index, optimizer, rng,
-                            config.batch_size, config.inner_steps)
+            alternate_pass(model, view, optimizer, rng, config)
             space.set_shared(model.state_dict())
 
-            for position, group in enumerate(groups):
-                new_delta = domain_regularization_round(
-                    model, view, space, position, config, rng,
-                    delta=space.group_delta(group),
-                )
-                space.apply_delta(group, new_delta)
-
+            regularize_groups(model, view, groups, space, config, rng)
             tracker.update_from_space(model, dataset, space)
 
         return StateBank(model, tracker.best_states(),

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..data.batching import iter_minibatches
-from ..nn.compile import active_executor
+from ..nn.compile import active_executor, eager_step
 from ..nn.optim import make_optimizer
 from ..nn.sparse import SparseGrad
 from ..utils import profiling
@@ -17,7 +17,7 @@ def train_steps(model, table, domain, optimizer, rng, batch_size, max_steps):
     Inside a :func:`repro.nn.compiled_execution` context, steps route
     through the model's :class:`~repro.nn.StepExecutor` — first occurrence
     of a batch signature traces eagerly, the rest replay the compiled tape.
-    Otherwise the loop below is the plain eager step.
+    Otherwise each batch takes one :func:`repro.nn.compile.eager_step`.
 
     Returns the mean training loss over the executed steps (0.0 when the
     table is empty).
@@ -30,12 +30,7 @@ def train_steps(model, table, domain, optimizer, rng, batch_size, max_steps):
         if executor is not None:
             loss_value = executor.step(batch, optimizer)
         else:
-            # lint: allow[eager-inner-loop] — this IS the eager fallback.
-            loss = model.loss(batch)
-            model.zero_grad()
-            loss.backward()
-            optimizer.step()
-            loss_value = loss.item()
+            loss_value = eager_step(model, batch, optimizer)
         profiling.tock("train.step", start)
         total += loss_value
         steps += 1

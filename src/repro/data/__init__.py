@@ -11,9 +11,6 @@ from .benchmarks import (
     amazon13_sim,
     dataset_by_name,
     taobao_sim,
-    taobao10_sim,
-    taobao20_sim,
-    taobao30_sim,
     taobao_online_sim,
 )
 from .io import load_interactions_csv, save_interactions_csv
@@ -40,9 +37,6 @@ __all__ = [
     "amazon6_sim",
     "amazon13_sim",
     "taobao_sim",
-    "taobao10_sim",
-    "taobao20_sim",
-    "taobao30_sim",
     "taobao_online_sim",
     "dataset_by_name",
     "BENCHMARK_BUILDERS",

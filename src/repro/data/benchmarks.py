@@ -13,8 +13,6 @@ features (standing in for the paper's frozen GraphSage features).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..utils.seeding import spawn_rng
@@ -24,9 +22,6 @@ __all__ = [
     "amazon6_sim",
     "amazon13_sim",
     "taobao_sim",
-    "taobao10_sim",
-    "taobao20_sim",
-    "taobao30_sim",
     "taobao_online_sim",
     "dataset_by_name",
     "BENCHMARK_BUILDERS",
@@ -169,28 +164,6 @@ def taobao_sim(n_domains, scale=1.0, seed=0, total_samples=None,
     ))
 
 
-def _deprecated_taobao_shim(n_domains):
-    def shim(scale=1.0, seed=0):
-        warnings.warn(
-            f"taobao{n_domains}_sim is deprecated; call "
-            f"taobao_sim({n_domains}, ...) instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return taobao_sim(n_domains, scale=scale, seed=seed)
-
-    shim.__name__ = f"taobao{n_domains}_sim"
-    shim.__doc__ = (
-        f"Deprecated alias of ``taobao_sim({n_domains}, ...)`` "
-        "(bitwise-identical output)."
-    )
-    return shim
-
-
-taobao10_sim = _deprecated_taobao_shim(10)
-taobao20_sim = _deprecated_taobao_shim(20)
-taobao30_sim = _deprecated_taobao_shim(30)
-
-
 def taobao_online_sim(n_domains=60, total_samples=30_000, seed=0,
                       zipf_exponent=1.1):
     """Industry-scale analogue of Taobao-online (Section V-F).
@@ -222,9 +195,8 @@ def taobao_online_sim(n_domains=60, total_samples=30_000, seed=0,
 
 
 def _taobao_preset(n_domains):
-    # Registry entries stay warning-free: the string names are the stable
-    # preset vocabulary (configs, CLI, saved results); only the module-level
-    # shim *functions* are deprecated.
+    # The string names are the stable preset vocabulary (configs, CLI,
+    # saved results); code calls ``taobao_sim(n, ...)``.
     def build(scale=1.0, seed=0):
         return taobao_sim(n_domains, scale=scale, seed=seed)
 

@@ -28,13 +28,12 @@ RSS constancy across the size sweep — fail.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import time
 
 import numpy as np
 
+from ..utils.journal import merge_cells, update_journal
 from ..utils.seeding import spawn_rng
 from .batching import iter_store_batches
 from .columnar import STREAM_COLUMNS, ColumnarStore, ColumnarWriter
@@ -280,21 +279,6 @@ def render_data_bench(record):
 
 def write_bench_record(record, path=DEFAULT_BENCH_PATH):
     """Merge ``record`` into the data benchmark journal at ``path``."""
-    path = pathlib.Path(path)
-    payload = {"benchmarks": {}}
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            payload = {"benchmarks": {}}
-    bench = payload.setdefault("benchmarks", {})
-    entry = bench.setdefault("data_bench", {})
-    entry["settings"] = record["settings"]
-    # Merge cells by event count so a smoke run refreshes its own cells
-    # without clobbering the recorded full-scale curve.
-    merged = {cell["n_events"]: cell for cell in entry.get("cells", [])}
-    for cell in record["cells"]:
-        merged[cell["n_events"]] = cell
-    entry["cells"] = [merged[key] for key in sorted(merged)]
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return update_journal(path, "data_bench", merge_cells(
+        record, lambda cell: cell["n_events"]
+    ))

@@ -70,23 +70,18 @@ def module_rng_states(model):
     with every training forward; a resumed replica must continue those
     streams, not restart them.
     """
-    states = {}
-    for name, module in model.named_modules():
-        rng = getattr(module, "_rng", None)
-        if rng is not None and hasattr(rng, "bit_generator"):
-            states[name or "."] = rng.bit_generator.state
-    return states
+    return {
+        name: rng.bit_generator.state for name, rng in model.named_rngs()
+    }
 
 
 def restore_module_rngs(model, states):
     """Re-position a model's module RNG streams from :func:`module_rng_states`."""
     if not states:
         return
-    for name, module in model.named_modules():
-        rng = getattr(module, "_rng", None)
-        key = name or "."
-        if rng is not None and hasattr(rng, "bit_generator") and key in states:
-            rng.bit_generator.state = states[key]
+    for name, rng in model.named_rngs():
+        if name in states:
+            rng.bit_generator.state = states[name]
 
 
 @dataclass

@@ -32,10 +32,8 @@ sync/async trajectories are byte-identical to the pre-transport runtime.
 
 from __future__ import annotations
 
-import warnings
-
 from ..core.param_space import DomainParameterSpace
-from ..core.regularization import domain_regularization_round
+from ..core.regularization import regularize_groups
 from ..core.selection import BestTracker, PerDomainTracker, model_split_auc
 from ..frameworks.base import SingleModelBank, StateBank
 from ..utils import profiling
@@ -198,16 +196,6 @@ class SimulatedCluster:
                              tracker=BestTracker(), store=store,
                              clusters=clusters)
 
-    def fit(self, model_factory, dataset, config, seed=0, use_dr=False):
-        """Deprecated pre-transport entrypoint; thin shim over :meth:`run`."""
-        warnings.warn(
-            "SimulatedCluster.fit is deprecated; call SimulatedCluster.run, "
-            "or drive the cluster through the repro.train.Session facade",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.run(model_factory, dataset, config, seed=seed,
-                        use_dr=use_dr)
-
     def resume(self, model_factory, dataset, config, use_dr=False,
                checkpoint_path=None):
         """Restart a checkpointed run and train the remaining epochs.
@@ -303,12 +291,7 @@ class SimulatedCluster:
         view, groups = space.training_plan(dataset)
         dr_tracker = PerDomainTracker(dataset.n_domains)
         for _ in range(config.epochs):
-            for position, group in enumerate(groups):
-                delta = domain_regularization_round(
-                    driver_model, view, space, position, config, rng,
-                    delta=space.group_delta(group),
-                )
-                space.apply_delta(group, delta)
+            regularize_groups(driver_model, view, groups, space, config, rng)
             dr_tracker.update_from_space(driver_model, dataset, space)
         return StateBank(driver_model, dr_tracker.best_states(),
                          default_state=space.shared)

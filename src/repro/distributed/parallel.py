@@ -45,6 +45,7 @@ __all__ = [
     "PipeChannel",
     "RemoteWorkerError",
     "resolve_worker_count",
+    "fork_available",
     "parallel_dn_epoch",
     "parallel_dr_rounds",
 ]
@@ -63,7 +64,9 @@ def resolve_worker_count(n_workers=None):
     return n_workers
 
 
-def _fork_available():
+def fork_available():
+    """Whether the platform has the ``fork`` start method the process
+    fan-outs (here and in ``repro.traffic.pool``) rely on."""
     try:
         return "fork" in __import__("multiprocessing").get_all_start_methods()
     except Exception:  # pragma: no cover - exotic platforms
@@ -158,8 +161,8 @@ def parallel_dn_epoch(model, dataset, shared_state, config, rng,
     this is the deployment's *data-parallel* DN round (bulk-synchronous,
     identical to ``SimulatedCluster`` ``sync`` mode): workers pull the
     same snapshot Θ, train their shard's inner trajectory locally —
-    replaying the compiled step tape when ``config.compile_steps`` (or
-    the ambient :func:`repro.nn.compiled_execution` flag) is on — and
+    replaying the compiled step tape when the ambient
+    :func:`repro.nn.compiled_execution` flag is on — and
     the PS applies every ``Θ~_w − Θ`` with the β barrier step.
 
     Returns the new shared state; like the sequential epoch, ``model`` is
@@ -167,7 +170,7 @@ def parallel_dn_epoch(model, dataset, shared_state, config, rng,
     """
     n_workers = resolve_worker_count(n_workers)
     n_workers = min(n_workers, dataset.n_domains)
-    if n_workers <= 1 or not _fork_available():
+    if n_workers <= 1 or not fork_available():
         return domain_negotiation_epoch(model, dataset, shared_state, config,
                                         rng)
 
@@ -219,11 +222,9 @@ def _reseed_module_rngs(model, seed, target):
     in the same process — the one piece of state that would break
     worker-count invariance.
     """
-    for name, module in model.named_modules():
-        rng = getattr(module, "_rng", None)
-        if rng is not None and hasattr(rng, "bit_generator"):
-            fresh = spawn_rng(seed, "pdr", target, "module", name or ".")
-            rng.bit_generator.state = fresh.bit_generator.state
+    for name, rng in model.named_rngs():
+        fresh = spawn_rng(seed, "pdr", target, "module", name)
+        rng.bit_generator.state = fresh.bit_generator.state
 
 
 def _dr_targets(model, dataset, space, config, seed, targets):
@@ -264,7 +265,7 @@ def parallel_dr_rounds(model, dataset, space, config, seed, targets=None,
         targets = list(range(dataset.n_domains))
     targets = list(targets)
     n_workers = min(resolve_worker_count(n_workers), max(1, len(targets)))
-    if n_workers <= 1 or not _fork_available() or len(targets) <= 1:
+    if n_workers <= 1 or not fork_available() or len(targets) <= 1:
         return _dr_targets(model, dataset, space, config, seed, targets)
 
     shards = [targets[i::n_workers] for i in range(n_workers)]

@@ -116,7 +116,8 @@ class ParameterServer:
         # Mark *before* applying: a sync round buffers the delta, but the
         # retry of a timed-out push must still dedup against the buffer.
         self._applied_push_ids.add(request.request_id)
-        self.push_delta(request.dense_delta, request.embedding_deltas)
+        self._push(request.worker_id, request.dense_delta,
+                   request.embedding_deltas)
         return transport.Response(version=self.version)
 
     # ------------------------------------------------------------------
@@ -159,12 +160,19 @@ class ParameterServer:
         self._snapshot = {name: value.copy() for name, value in self._state.items()}
 
     def end_sync_round(self):
-        """Apply all buffered deltas and unfreeze."""
+        """Apply all buffered deltas, in sender order, and unfreeze.
+
+        Float addition is not associative and worker *processes* push in
+        scheduling order, so the barrier fixes the order itself: by
+        worker id (arrival order within one sender, and for direct
+        :meth:`push_delta` calls, which sort last).
+        """
         if self._snapshot is None:
             raise RuntimeError("no sync round in progress")
         self._snapshot = None
         buffered, self._buffered = self._buffered, []
-        for dense_delta, embedding_deltas in buffered:
+        buffered.sort(key=lambda push: (push[0] is None, push[0]))
+        for _, dense_delta, embedding_deltas in buffered:
             self._apply(dense_delta, embedding_deltas)
 
     def push_delta(self, dense_delta, embedding_deltas):
@@ -173,12 +181,15 @@ class ParameterServer:
         ``dense_delta``: ``{name: ndarray}``;
         ``embedding_deltas``: ``{name: {row_id: vector}}``.
         """
+        self._push(None, dense_delta, embedding_deltas)
+
+    def _push(self, sender, dense_delta, embedding_deltas):
         self.push_counts["dense"] += len(dense_delta)
         self.push_counts["embedding_rows"] += sum(
             len(rows) for rows in embedding_deltas.values()
         )
         if self._snapshot is not None:
-            self._buffered.append((dense_delta, embedding_deltas))
+            self._buffered.append((sender, dense_delta, embedding_deltas))
             return
         self._apply(dense_delta, embedding_deltas)
 

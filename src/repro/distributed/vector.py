@@ -68,27 +68,21 @@ _LANE_BLOCK = 32
 # ----------------------------------------------------------------------
 
 def _snapshot_module_rngs(model):
-    """``[(module name, generator, entry state)]`` for every dropout RNG."""
-    snaps = []
-    for name, module in model.named_modules():
-        rng = getattr(module, "_rng", None)
-        if rng is not None and hasattr(rng, "bit_generator"):
-            snaps.append((name, rng, copy.deepcopy(rng.bit_generator.state)))
-    return snaps
+    """``[(generator, entry state)]`` for every dropout RNG."""
+    return [
+        (rng, copy.deepcopy(rng.bit_generator.state))
+        for _, rng in model.named_rngs()
+    ]
 
 
 def _restore_module_rngs(snaps):
-    for _, rng, state in snaps:
+    for rng, state in snaps:
         rng.bit_generator.state = copy.deepcopy(state)
 
 
 def _tape_rng_module_names(model, tape):
     """Module name of each of ``tape._rngs`` (draw-order identity match)."""
-    by_id = {}
-    for name, module in model.named_modules():
-        rng = getattr(module, "_rng", None)
-        if rng is not None:
-            by_id[id(rng)] = name
+    by_id = {id(rng): name for name, rng in model.named_rngs()}
     names = []
     for rng in tape._rngs:
         name = by_id.get(id(rng))
@@ -282,7 +276,7 @@ def _vector_dn(model, dataset, shared_state, config, seed, n_lanes):
     # Forked children inherit the entry dropout streams; so does each lane.
     # The state dicts are only read by the seeding, so sharing one per
     # stream across all lanes is safe.
-    states_by_id = {id(rng): state for _, rng, state in snaps}
+    states_by_id = {id(rng): state for rng, state in snaps}
     n_steps = len(schedules[0])
     base_flat = None
     pushed_rows = []  # keep every block's delta views alive until the barrier
@@ -429,7 +423,7 @@ def _vector_dr(model, dataset, space, config, seed, targets):
         # name); they persist across all of the target's helper passes.
         vt.set_lane_rng_states([
             [
-                spawn_rng(seed, "pdr", target, "module", name or ".")
+                spawn_rng(seed, "pdr", target, "module", name)
                 .bit_generator.state
                 for target in block_targets
             ]

@@ -15,17 +15,13 @@ the cluster's eviction monitor.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..data.batching import iter_minibatches
-from ..nn.compile import active_executor, compile_context
+from ..nn.compile import active_executor, eager_step
 from ..nn.layers import Embedding
 from ..nn.optim import make_optimizer
 from .cache import EmbeddingCache
-from .ps import ParameterServer
-from .transport import DirectChannel, PSClient
 
 __all__ = ["Worker", "embedding_parameter_names", "embedding_field_map"]
 
@@ -63,26 +59,16 @@ def embedding_field_map(model):
 class Worker:
     """One simulated worker machine.
 
-    ``ps`` is normally a :class:`~repro.distributed.transport.PSClient`;
-    passing a raw :class:`~repro.distributed.ps.ParameterServer` is a
-    deprecated shim that wraps it in an in-process channel.
+    ``client`` is a :class:`~repro.distributed.transport.PSClient`: all
+    PS traffic goes through a failable channel.
     """
 
-    def __init__(self, worker_id, model, domain_indices, ps, config,
+    def __init__(self, worker_id, model, domain_indices, client, config,
                  field_map=None):
-        if isinstance(ps, ParameterServer):
-            warnings.warn(
-                "constructing a Worker with a raw ParameterServer is "
-                "deprecated; pass a transport.PSClient (or use "
-                "repro.train.Session) so PS traffic goes through a "
-                "failable channel",
-                DeprecationWarning, stacklevel=2,
-            )
-            ps = PSClient(DirectChannel(ps), worker_id)
         self.worker_id = worker_id
         self.model = model
         self.domain_indices = list(domain_indices)
-        self.client = ps
+        self.client = client
         self.config = config
         #: epochs this worker completed (pull→train→push round trips).
         self.epochs_run = 0
@@ -93,7 +79,7 @@ class Worker:
         self.field_map = (
             field_map if field_map is not None else embedding_field_map(model)
         )
-        unknown = set(self.field_map) - set(self._embedding_names())
+        unknown = set(self.field_map) - set(embedding_parameter_names(model))
         if unknown:
             raise KeyError(
                 f"field map references non-embedding tables: {sorted(unknown)}"
@@ -105,9 +91,6 @@ class Worker:
             config.inner_optimizer, model.parameters(), config.inner_lr
         )
         self._named = dict(model.named_parameters())
-
-    def _embedding_names(self):
-        return embedding_parameter_names(self.model)
 
     def run_epoch(self, dataset, rng):
         """One inner loop over this worker's shard; pushes the delta.
@@ -130,15 +113,14 @@ class Worker:
 
         order = list(self.domain_indices)
         rng.shuffle(order)
-        with compile_context(getattr(self.config, "compile_steps", None)):
-            for domain_index in order:
-                domain = dataset.domain(domain_index)
-                for batch in iter_minibatches(
-                    domain.train, domain_index, self.config.batch_size,
-                    rng=rng, max_batches=self.config.inner_steps,
-                ):
-                    self._train_batch(batch)
-                self.client.heartbeat()
+        for domain_index in order:
+            domain = dataset.domain(domain_index)
+            for batch in iter_minibatches(
+                domain.train, domain_index, self.config.batch_size,
+                rng=rng, max_batches=self.config.inner_steps,
+            ):
+                self._train_batch(batch)
+            self.client.heartbeat()
 
         dense_delta = {
             name: self._named[name].data - static_dense[name]
@@ -158,15 +140,9 @@ class Worker:
         if executor is not None:
             loss_value = executor.step(batch, self.optimizer)
         else:
-            # lint: allow[eager-inner-loop] — this IS the eager fallback.
-            loss = self.model.loss(batch)
-            self.model.zero_grad()
-            loss.backward()
-            self.optimizer.step()
-            loss_value = loss.item()
+            loss_value = eager_step(self.model, batch, self.optimizer)
         self._writeback_rows(touched)
         return loss_value
-
 
     def _materialize_rows(self, batch):
         """Fetch the embedding rows this batch touches into the model."""

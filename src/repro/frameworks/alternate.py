@@ -19,6 +19,7 @@ from ..core.selection import (
     finetune_with_selection,
     model_split_auc,
 )
+from ..core.negotiation import alternate_pass
 from ..core.trainer import make_inner_optimizer, train_steps
 from ..nn.state import clone_state
 from ..utils.seeding import spawn_rng
@@ -37,12 +38,7 @@ class Alternate(LearningFramework):
         optimizer = make_inner_optimizer(model, config)
         tracker = BestTracker()
         for _ in range(config.epochs):
-            order = list(range(dataset.n_domains))
-            rng.shuffle(order)
-            for domain_index in order:
-                domain = dataset.domain(domain_index)
-                train_steps(model, domain.train, domain_index, optimizer, rng,
-                            config.batch_size, config.inner_steps)
+            alternate_pass(model, dataset, optimizer, rng, config)
             tracker.update(model_split_auc(model, dataset), model.state_dict())
         model.load_state_dict(tracker.best)
         return SingleModelBank(model)

@@ -10,7 +10,6 @@ from . import functional
 from .compile import (
     StepExecutor,
     compilation_enabled,
-    compile_context,
     compiled_execution,
     eager_step,
     executor_for,
@@ -103,7 +102,6 @@ __all__ = [
     "sparse_grads_enabled",
     "StepExecutor",
     "compiled_execution",
-    "compile_context",
     "compilation_enabled",
     "executor_for",
     "active_executor",

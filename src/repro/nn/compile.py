@@ -59,7 +59,6 @@ from .tensor import _stable_sigmoid
 __all__ = [
     "CompileBail",
     "compiled_execution",
-    "compile_context",
     "compilation_enabled",
     "StepExecutor",
     "Tape",
@@ -86,18 +85,6 @@ def compiled_execution(enabled=True):
         yield
     finally:
         _COMPILED.reset(token)
-
-
-def compile_context(flag):
-    """Context manager for a tri-state compile flag.
-
-    ``None`` inherits the ambient setting (no-op context); ``True`` /
-    ``False`` force it.  This is how ``TrainConfig.compile_steps`` flows
-    into the DN/DR loops.
-    """
-    if flag is None:
-        return contextlib.nullcontext()
-    return compiled_execution(flag)
 
 
 def compilation_enabled():
@@ -1069,10 +1056,6 @@ def _generic_kernel(opt, index, param):
     return run
 
 
-def _always_valid():
-    return True
-
-
 class _OptimizerSchedule:
     """A compiled ``Optimizer.step`` for one (tape, optimizer) pair."""
 
@@ -1181,10 +1164,6 @@ class Tape:
         non-strict :func:`repro.tooling.sanitizer.replay_verify`."""
         cert = self.certificate
         return "static" if cert is not None and cert.certified else "replay"
-
-    @property
-    def n_ops(self):
-        return len(self._node_records)
 
     # -- execution ------------------------------------------------------
     def _run(self, batch):

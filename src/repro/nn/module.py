@@ -84,6 +84,18 @@ class Module:
         for name, module in self._modules.items():
             yield from module.named_modules(prefix=prefix + name + ".")
 
+    def named_rngs(self):
+        """Yield ``(dotted_name, Generator)`` for every module that owns a
+        random stream (dropout); the root module's is named ``"."``.
+
+        Those streams advance with each training forward, so whoever
+        checkpoints, forks or replays a model has to carry them too.
+        """
+        for name, module in self.named_modules():
+            rng = getattr(module, "_rng", None)
+            if rng is not None and hasattr(rng, "bit_generator"):
+                yield name or ".", rng
+
     def num_parameters(self):
         """Total number of scalar parameters."""
         return sum(p.data.size for p in self.parameters())

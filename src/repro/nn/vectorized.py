@@ -866,14 +866,6 @@ class VectorTape:
         for name, _, off, size, _ in self._entries:
             row[off:off + size] = state[name].ravel()
 
-    def lane_state(self, lane):
-        """One lane's parameters as an owned ``{name: ndarray}``."""
-        return {name: view[lane].copy() for name, view in self._state_views}
-
-    def lane_delta(self, lane, base):
-        """``lane params − base`` — the worker's / DR's delta expression."""
-        return {name: view[lane] - base[name] for name, view in self._state_views}
-
     # -- arena-wide (flat) state algebra -----------------------------------
     # Elementwise ops over the whole (n, P) arena compute the identical
     # per-element values as per-lane per-parameter state algebra, while

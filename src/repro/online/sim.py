@@ -25,8 +25,6 @@ has rotated away from day 0.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -39,6 +37,7 @@ from ..serving.service import ServingService
 from ..serving.snapshots import SnapshotStore
 from ..train.session import ConfigError, _coerce
 from ..utils import profiling
+from ..utils.journal import update_journal
 from ..utils.seeding import spawn_rng
 from .drift import DriftMonitor
 from .gate import GateConfig, ValidationGate
@@ -439,15 +438,7 @@ def render_online_sim(results):
 
 def write_bench_record(results, path=DEFAULT_BENCH_PATH):
     """Merge an online-sim record into the benchmark journal at ``path``."""
-    path = pathlib.Path(path)
-    payload = {"benchmarks": {}}
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            payload = {"benchmarks": {}}
-    bench = payload.setdefault("benchmarks", {})
-    bench["online_sim"] = {
+    entry = {
         "settings": results["settings"],
         "events_per_sec": results["events"]["events_per_sec"],
         "update_latency_mean_s": results["update_latency"]["mean_s"],
@@ -472,5 +463,4 @@ def write_bench_record(results, path=DEFAULT_BENCH_PATH):
             for r in results["auc_over_time"]
         ],
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return update_journal(path, "online_sim", lambda previous: entry)

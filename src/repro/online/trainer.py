@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.negotiation import domain_negotiation_epoch
+from ..core.mamdr import mamdr_epoch
 from ..core.param_space import DomainParameterSpace
-from ..core.regularization import domain_regularization_round
+from ..core.regularization import regularize_groups
 from ..core.trainer import make_inner_optimizer
 from ..data.schema import Domain, InteractionTable, MultiDomainDataset
 from ..data.splits import temporal_split
@@ -285,32 +285,24 @@ class IncrementalTrainer:
         view, groups = self.space.training_plan(dataset)
         rng = spawn_rng(self.seed, "online", "update", key)
         start = profiling.tick()
-        shared = self._update_shared(view, key, rng)
-        self.space.set_shared(shared)
-        for position, group in enumerate(groups):
-            delta = domain_regularization_round(
-                self.model, view, self.space, position, self.config, rng,
-                delta=self.space.group_delta(group),
+        if self.backend == "local":
+            mamdr_epoch(
+                self.model, view, groups, self.space, self.config, rng,
+                make_inner_optimizer(self.model, self.config),
             )
-            self.space.apply_delta(group, delta)
+        else:
+            # Only the θ_S update moves to the cluster; DR stays
+            # driver-side on the live space.
+            self.space.set_shared(self._update_shared_cluster(view, key))
+            regularize_groups(
+                self.model, view, groups, self.space, self.config, rng
+            )
         profiling.tock("online.update", start)
         states = self.space.all_combined()
         return OnlineUpdate(
             key=key, dataset=dataset, states=states,
             default_state=clone_state(self.space.shared),
         )
-
-    def _update_shared(self, dataset, key, rng):
-        if self.backend == "local":
-            optimizer = make_inner_optimizer(self.model, self.config)
-            shared = self.space.shared
-            for _ in range(self.config.dn_rounds):
-                shared = domain_negotiation_epoch(
-                    self.model, dataset, shared, self.config, rng,
-                    optimizer=optimizer,
-                )
-            return shared
-        return self._update_shared_cluster(dataset, key)
 
     def _update_shared_cluster(self, dataset, key):
         """DN via the fault-tolerant PS-Worker runtime (Section IV-E)."""

@@ -15,18 +15,10 @@ pytest wrappers.
 
 from __future__ import annotations
 
-import json
-import pathlib
-
-from ..core import (
-    DomainParameterSpace,
-    TrainConfig,
-    domain_negotiation_epoch,
-    domain_regularization_round,
-)
-from ..core.trainer import make_inner_optimizer
+from ..core import TrainConfig, train_space
 from ..data import DomainSpec, SyntheticConfig, generate_dataset, sample_batch
 from ..models import build_model
+from ..utils.journal import update_journal
 from ..utils.seeding import spawn_rng
 from ..utils.tables import format_table
 from .batcher import BatchingPolicy
@@ -58,33 +50,29 @@ def make_serving_dataset(n_domains=5, seed=1):
     ))
 
 
-def train_space(model, dataset, config, seed=0, store=None):
-    """A compact MAMDR (DN + DR) training loop producing the space itself.
+def bench_setup(session, seed, n_domains, default_config):
+    """``(seed, dataset, model, train config)`` of a serving/traffic bench.
 
-    ``MAMDR.fit`` returns the deployable best-checkpoint bank; serving
-    publishes from the *space* (θ_S + deltas) so the copy-on-write
-    materialization has real shared structure to exploit.  ``store``
-    selects the parameter backend; training is gated by the store's
-    delta-sharing groups either way.
+    A ``session`` (:class:`repro.train.SessionConfig`) supplies the model
+    architecture, seed and training hyper-parameters; the dataset is the
+    benches' own either way.
     """
-    rng = spawn_rng(seed, "serve-bench", "train", dataset.name)
-    space = DomainParameterSpace(model, dataset.n_domains, store=store)
-    view, groups = space.training_plan(dataset)
-    optimizer = make_inner_optimizer(model, config)
-    for _ in range(config.epochs):
-        shared = space.shared
-        for _ in range(config.dn_rounds):
-            shared = domain_negotiation_epoch(
-                model, view, shared, config, rng, optimizer=optimizer
-            )
-        space.set_shared(shared)
-        for position, group in enumerate(groups):
-            delta = domain_regularization_round(
-                model, view, space, position, config, rng,
-                delta=space.group_delta(group),
-            )
-            space.apply_delta(group, delta)
-    return space
+    if session is None:
+        dataset = make_serving_dataset(n_domains=n_domains, seed=seed + 1)
+        model = build_model("mlp", dataset, seed=seed)
+        return seed, dataset, model, default_config
+    dataset = make_serving_dataset(n_domains=n_domains, seed=session.seed + 1)
+    model = build_model(session.model, dataset,
+                        seed=session.effective_model_seed,
+                        **session.model_kwargs)
+    return session.seed, dataset, model, session.train
+
+
+def bench_train_rng(seed, dataset):
+    """The RNG stream the serving/traffic benches train their spaces under
+    (they publish from the *space* — θ_S + deltas — so copy-on-write
+    materialization has real shared structure to exploit)."""
+    return spawn_rng(seed, "serve-bench", "train", dataset.name)
 
 
 def _heavy_tailed_probs(n, exponent=1.1):
@@ -152,24 +140,13 @@ def run_serve_bench(batch_sizes=(1, 8, 32), n_requests=1500, seed=0,
     """
     import time
 
-    model_name, model_kwargs = "mlp", {}
-    if session is not None:
-        seed = session.seed
-        model_name = session.model
-        model_kwargs = dict(session.model_kwargs)
-    dataset = make_serving_dataset(n_domains=n_domains, seed=seed + 1)
-    model = build_model(
-        model_name, dataset, seed=seed if session is None
-        else session.effective_model_seed, **model_kwargs,
+    seed, dataset, model, config = bench_setup(
+        session, seed, n_domains,
+        TrainConfig(epochs=epochs, batch_size=64, inner_steps=4, dr_steps=2,
+                    sample_k=1),
     )
-    if session is not None:
-        config = session.train
-    else:
-        config = TrainConfig(
-            epochs=epochs, batch_size=64, inner_steps=4, dr_steps=2,
-            sample_k=1,
-        )
-    space = train_space(model, dataset, config, seed=seed)
+    space = train_space(model, dataset, config,
+                        bench_train_rng(seed, dataset))
 
     users, items, domains = make_request_stream(dataset, n_requests, seed=seed)
     results = {}
@@ -257,17 +234,7 @@ def render_serve_bench(record):
 
 def write_bench_record(record, path=DEFAULT_BENCH_PATH):
     """Merge ``record`` into the serving benchmark journal at ``path``."""
-    path = pathlib.Path(path)
-    payload = {"benchmarks": {}}
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            payload = {"benchmarks": {}}
-    bench = payload.setdefault("benchmarks", {})
-    entry = bench.setdefault("serve_bench", {})
-    entry.update(record["settings"])
-    entry["dataset"] = record["dataset"]
-    entry["n_requests"] = record["n_requests"]
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return update_journal(path, "serve_bench", lambda entry: {
+        **entry, **record["settings"],
+        "dataset": record["dataset"], "n_requests": record["n_requests"],
+    })

@@ -39,6 +39,11 @@ from .snapshots import SnapshotStore
 
 __all__ = ["LatencyRecorder", "Predictor", "ServingService"]
 
+#: rows per (table, domain) row cache: the pinned hottest-by-training-access
+#: static tier, and the LRU dynamic tier behind it.
+STATIC_CACHE_CAPACITY = 256
+DYNAMIC_CACHE_CAPACITY = 2048
+
 
 class LatencyRecorder:
     """Per-request latency samples with tail percentiles and QPS."""
@@ -83,8 +88,7 @@ class LatencyRecorder:
 class Predictor:
     """Scores per-domain requests against the current snapshot."""
 
-    def __init__(self, model, store, field_map=None, use_row_cache=True,
-                 static_cache_capacity=256, dynamic_cache_capacity=2048):
+    def __init__(self, model, store, field_map=None, use_row_cache=True):
         self._model = model
         self._store = store
         self._params = dict(model.named_parameters())
@@ -103,8 +107,6 @@ class Predictor:
         self._dense_names = frozenset(
             name for name in self._params if name not in self.field_map
         )
-        self._static_capacity = static_cache_capacity
-        self._dynamic_capacity = dynamic_cache_capacity
         self._loaded = None          # (version, domain) currently in the model
         self._caches = {}            # (name, domain) -> ServingEmbeddingCache
         self._cache_version = None
@@ -161,9 +163,9 @@ class Predictor:
             cache = ServingEmbeddingCache(
                 lambda ids, n=name, d=domain, s=snapshot: s.rows_for(n, d, ids),
                 static_ids=snapshot.static_row_ids(
-                    name, self._static_capacity
+                    name, STATIC_CACHE_CAPACITY
                 ),
-                capacity=self._dynamic_capacity,
+                capacity=DYNAMIC_CACHE_CAPACITY,
             )
             self._caches[(name, domain)] = cache
         return cache
@@ -207,14 +209,11 @@ class ServingService:
     """The online inference front door: predict, batch, reload, stats."""
 
     def __init__(self, model, store=None, policy=None, field_map=None,
-                 use_row_cache=True, static_cache_capacity=256,
-                 dynamic_cache_capacity=2048, clock=time.perf_counter):
+                 use_row_cache=True, clock=time.perf_counter):
         self.store = store if store is not None else SnapshotStore()
         self.predictor = Predictor(
             model, self.store, field_map=field_map,
             use_row_cache=use_row_cache,
-            static_cache_capacity=static_cache_capacity,
-            dynamic_cache_capacity=dynamic_cache_capacity,
         )
         self.latency = LatencyRecorder()
         self._clock = clock

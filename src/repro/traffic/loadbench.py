@@ -41,19 +41,17 @@ numbers came from which mode.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..models import build_model
-from ..serving.bench import make_serving_dataset, train_space
+from ..serving.bench import bench_setup, bench_train_rng
 from ..serving.service import Predictor
 from ..serving.snapshots import SnapshotStore
 from ..utils import profiling
+from ..utils.journal import update_journal
 from ..utils.tables import format_table
 from .admission import AdmissionConfig, AdmissionController, DomainSLO
 from .pool import PredictorPool, fork_available
@@ -334,8 +332,7 @@ def measure_pool_capacity(pool, trace, max_batch=32, max_inflight=None):
     }
 
 
-def check_pool_parity(pool, model, snapshots, trace, max_batch=32,
-                      predictor_kwargs=None):
+def check_pool_parity(pool, model, snapshots, trace, max_batch=32):
     """Bit-parity of pooled scoring across a hot reload under load.
 
     ``snapshots`` are published to the pool as successive generations;
@@ -345,7 +342,6 @@ def check_pool_parity(pool, model, snapshots, trace, max_batch=32,
     then compared bitwise against a fresh single-process
     :class:`Predictor` pinned to the generation the response reports.
     """
-    kwargs = dict(predictor_kwargs or {})
     batches = _batched(trace, max_batch)
     chunk = -(-len(batches) // len(snapshots))
 
@@ -360,7 +356,7 @@ def check_pool_parity(pool, model, snapshots, trace, max_batch=32,
     results = []
     for stage, snapshot in enumerate(snapshots):
         generation = pool.generation + 1
-        references[generation] = Predictor(model, _Pinned(snapshot), **kwargs)
+        references[generation] = Predictor(model, _Pinned(snapshot))
         # First publish waits (workers must attach before scoring);
         # later ones ride the queues behind in-flight batches.
         results.extend(pool.publish(snapshot, wait=stage == 0))
@@ -409,27 +405,20 @@ def run_traffic_bench(worker_counts=(1, 2), n_requests=640, mean_qps=2000.0,
     ``session`` (a :class:`repro.train.SessionConfig`) may override model
     architecture, seed and training hyper-parameters, as with serve-bench.
     """
-    from ..core import TrainConfig
+    from ..core import TrainConfig, train_space
 
-    model_name, model_kwargs = "mlp", {}
-    if session is not None:
-        seed = session.seed
-        model_name = session.model
-        model_kwargs = dict(session.model_kwargs)
-    dataset = make_serving_dataset(n_domains=n_domains, seed=seed + 1)
-    model = build_model(
-        model_name, dataset,
-        seed=seed if session is None else session.effective_model_seed,
-        **model_kwargs,
+    seed, dataset, model, config = bench_setup(
+        session, seed, n_domains,
+        TrainConfig(epochs=epochs, batch_size=64, inner_steps=2, dr_steps=1,
+                    sample_k=1),
     )
-    config = session.train if session is not None else TrainConfig(
-        epochs=epochs, batch_size=64, inner_steps=2, dr_steps=1, sample_k=1,
-    )
-    space = train_space(model, dataset, config, seed=seed)
+    space = train_space(model, dataset, config,
+                        bench_train_rng(seed, dataset))
     # A genuinely different second parameter space for the hot-reload
     # phase: different training seed, so generation attribution is
     # provable (identical spaces would make any generation "correct").
-    space_reloaded = train_space(model, dataset, config, seed=seed + 101)
+    space_reloaded = train_space(model, dataset, config,
+                                 bench_train_rng(seed + 101, dataset))
 
     store = SnapshotStore(keep=4)
     snapshot_a = store.publish(space)
@@ -589,14 +578,4 @@ def render_traffic_bench(record):
 
 def write_traffic_record(record, path=DEFAULT_BENCH_PATH):
     """Merge ``record`` into ``benchmarks.traffic_bench`` at ``path``."""
-    path = pathlib.Path(path)
-    payload = {"benchmarks": {}}
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            payload = {"benchmarks": {}}
-    bench = payload.setdefault("benchmarks", {})
-    bench["traffic_bench"] = record
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return update_journal(path, "traffic_bench", lambda entry: record)

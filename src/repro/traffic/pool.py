@@ -36,21 +36,12 @@ from multiprocessing import get_context
 
 import numpy as np
 
+from ..distributed.parallel import fork_available
 from ..serving.service import Predictor
 from ..serving.snapshots import SharedSnapshotArena
 from ..utils import profiling
 
 __all__ = ["PoolError", "PredictorPool", "fork_available"]
-
-
-def fork_available():
-    """Whether the platform supports the fork start method the pool needs."""
-    try:
-        import multiprocessing
-
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:  # pragma: no cover - exotic platforms
-        return False
 
 
 class PoolError(RuntimeError):
@@ -150,7 +141,6 @@ class PredictorPool:
     """
 
     def __init__(self, model, n_workers=2, use_row_cache=True,
-                 static_cache_capacity=256, dynamic_cache_capacity=2048,
                  field_map=None):
         if n_workers < 1:
             raise ValueError("need at least one worker")
@@ -164,8 +154,6 @@ class PredictorPool:
         self.n_workers = int(n_workers)
         self._predictor_kwargs = {
             "use_row_cache": use_row_cache,
-            "static_cache_capacity": static_cache_capacity,
-            "dynamic_cache_capacity": dynamic_cache_capacity,
             "field_map": field_map,
         }
         self._ctx = get_context("fork")

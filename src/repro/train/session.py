@@ -18,7 +18,7 @@ artifact.
 
 A Session adds no training logic of its own — it mirrors the historical
 construction paths exactly, so results are byte-identical with driving
-the underlying objects by hand (the shim-parity tests pin this).
+the underlying objects by hand (``tests/train/test_session.py`` pins this).
 """
 
 from __future__ import annotations

@@ -96,19 +96,6 @@ class Profile:
         """Append one raw sample to the ``name`` series."""
         self.series.setdefault(name, []).append(float(value))
 
-    def series_summary(self, quantiles=(0.5, 0.95, 0.99)):
-        """Per-series count/mean/percentiles for every observed series."""
-        summary = {}
-        for name, samples in self.series.items():
-            entry = {
-                "count": len(samples),
-                "mean": sum(samples) / len(samples),
-            }
-            for q in quantiles:
-                entry[f"p{round(q * 100):d}"] = percentile(samples, q)
-            summary[name] = entry
-        return summary
-
     def total_seconds(self):
         return sum(stats.seconds for stats in self.ops.values())
 

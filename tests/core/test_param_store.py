@@ -191,14 +191,6 @@ def test_space_rejects_mismatched_store(dataset):
         )
 
 
-def test_deltas_shim_warns_and_materializes(dataset):
-    model = build_model("mlp", dataset, seed=0)
-    space = DomainParameterSpace(model, 4)
-    with pytest.warns(DeprecationWarning, match="DomainParamStore"):
-        deltas = space.deltas
-    assert set(deltas) == {0, 1, 2, 3}
-
-
 # ----------------------------------------------------------------------
 # Backend parity: identity-plan clustered == dense, bit for bit
 # ----------------------------------------------------------------------

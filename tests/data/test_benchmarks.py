@@ -10,10 +10,8 @@ from repro.data import (
     amazon13_sim,
     dataset_by_name,
     overall_stats_row,
-    taobao10_sim,
-    taobao20_sim,
-    taobao30_sim,
     taobao_online_sim,
+    taobao_sim,
 )
 from repro.data.benchmarks import _AMAZON6, _AMAZON13, _TAOBAO30
 
@@ -45,14 +43,14 @@ def test_amazon13_sparse_domains_floor():
 
 
 def test_taobao_prefix_relationship():
-    t10 = taobao10_sim(scale=0.3)
-    t30 = taobao30_sim(scale=0.3)
+    t10 = taobao_sim(10, scale=0.3)
+    t30 = taobao_sim(30, scale=0.3)
     assert [d.name for d in t10.domains] == [d.name for d in t30.domains][:10]
     assert t10.has_fixed_features and t30.has_fixed_features
 
 
 def test_taobao_ctrs_match_table4():
-    ds = taobao20_sim(scale=0.5)
+    ds = taobao_sim(20, scale=0.5)
     for domain, (_, _, ctr) in zip(ds.domains, _TAOBAO30[:20]):
         assert domain.ctr_ratio == pytest.approx(ctr, abs=0.07)
 
@@ -89,29 +87,8 @@ def test_overall_stats_row_fields(small_amazon6):
 
 
 # ----------------------------------------------------------------------
-# The parameterized taobao_sim front door and its deprecation shims
+# The parameterized taobao_sim front door and its registry names
 # ----------------------------------------------------------------------
-def test_taobao_sim_shims_are_bitwise_identical():
-    from repro.data import taobao_sim
-
-    for n in (10, 20):
-        with pytest.warns(DeprecationWarning, match=f"taobao_sim\\({n}"):
-            legacy = {10: taobao10_sim, 20: taobao20_sim}[n](
-                scale=0.3, seed=2
-            )
-        fresh = taobao_sim(n, scale=0.3, seed=2)
-        assert fresh.name == legacy.name == f"taobao{n}_sim"
-        np.testing.assert_array_equal(
-            fresh.item_features, legacy.item_features
-        )
-        for lhs, rhs in zip(fresh.domains, legacy.domains):
-            for split in ("train", "val", "test"):
-                a, b = getattr(lhs, split), getattr(rhs, split)
-                np.testing.assert_array_equal(a.users, b.users)
-                np.testing.assert_array_equal(a.items, b.items)
-                np.testing.assert_array_equal(a.labels, b.labels)
-
-
 def test_taobao_sim_registry_names_stay_warning_free():
     import warnings
 
@@ -138,8 +115,6 @@ def test_taobao_sim_extends_table_deterministically():
 
 
 def test_taobao_sim_overrides_control_scale():
-    from repro.data import taobao_sim
-
     ds = taobao_sim(
         40, total_samples=40 * 12, n_users=300, n_items=200,
         min_domain_samples=18, name="tiny40",

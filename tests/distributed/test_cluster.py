@@ -45,7 +45,7 @@ def test_embedding_discovery(tiny_dataset, tiny_fixed_dataset):
 
 def test_single_worker_trains(tiny_dataset, fast_config):
     cluster = SimulatedCluster(n_workers=1, mode="async")
-    bank = cluster.fit(
+    bank = cluster.run(
         lambda wid: build_model("mlp", tiny_dataset, seed=0),
         tiny_dataset, fast_config, seed=1,
     )
@@ -58,7 +58,7 @@ def test_single_worker_trains(tiny_dataset, fast_config):
 @pytest.mark.parametrize("mode", ["async", "sync"])
 def test_multi_worker_both_modes(mode, tiny_dataset, fast_config):
     cluster = SimulatedCluster(n_workers=3, mode=mode)
-    bank = cluster.fit(
+    bank = cluster.run(
         lambda wid: build_model("mlp", tiny_dataset, seed=0),
         tiny_dataset, fast_config, seed=1,
     )
@@ -74,7 +74,7 @@ def test_multi_worker_both_modes(mode, tiny_dataset, fast_config):
 
 def test_cluster_with_dr_returns_per_domain_bank(tiny_dataset, fast_config):
     cluster = SimulatedCluster(n_workers=2)
-    bank = cluster.fit(
+    bank = cluster.run(
         lambda wid: build_model("mlp", tiny_dataset, seed=0),
         tiny_dataset, fast_config, seed=1, use_dr=True,
     )
@@ -94,7 +94,7 @@ def test_cluster_matches_quality_of_local_training(tiny_dataset, fast_config):
 
     cluster = SimulatedCluster(n_workers=2)
     distributed = evaluate_bank(
-        cluster.fit(lambda wid: build_model("mlp", tiny_dataset, seed=0),
+        cluster.run(lambda wid: build_model("mlp", tiny_dataset, seed=0),
                     tiny_dataset, config, seed=1),
         tiny_dataset,
     ).mean_auc
@@ -109,7 +109,7 @@ def test_invalid_mode_rejected():
 def test_fixed_feature_dataset_has_no_cache_traffic(tiny_fixed_dataset,
                                                     fast_config):
     cluster = SimulatedCluster(n_workers=2)
-    cluster.fit(
+    cluster.run(
         lambda wid: build_model("mlp", tiny_fixed_dataset, seed=0),
         tiny_fixed_dataset, fast_config, seed=1,
     )

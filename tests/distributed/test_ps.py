@@ -67,6 +67,27 @@ def test_sync_round_buffers_pushes():
     assert ps.version == 2
 
 
+def test_sync_round_applies_in_sender_order_not_arrival_order():
+    """Float addition is not associative: the barrier result must not
+    depend on which worker process happened to push first."""
+    from repro.distributed import DirectChannel, PSClient
+
+    deltas = {0: 1.0, 1: 2e-16, 2: -1.0}
+
+    def barrier(arrival):
+        ps = make_ps(outer_lr=1.0)
+        ps.begin_sync_round()
+        for worker_id in arrival:
+            PSClient(DirectChannel(ps), worker_id).push_delta(
+                {"dense.w": np.full((2, 2), deltas[worker_id])}, {}
+            )
+        ps.end_sync_round()
+        return ps.full_state()["dense.w"]
+
+    assert ((1.0 + 1.0) + 2e-16) - 1.0 != ((1.0 - 1.0) + 2e-16) + 1.0
+    np.testing.assert_array_equal(barrier([0, 1, 2]), barrier([2, 1, 0]))
+
+
 def test_sync_round_guards():
     ps = make_ps()
     with pytest.raises(RuntimeError):

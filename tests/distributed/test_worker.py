@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import TrainConfig
-from repro.distributed import ParameterServer, Worker
+from repro.distributed import DirectChannel, ParameterServer, PSClient, Worker
 from repro.distributed.worker import embedding_parameter_names
 from repro.models import build_model
 from repro.utils.seeding import spawn_rng
@@ -20,7 +20,7 @@ def make_parts(dataset, domains=(0,), config=None):
         outer_lr=1.0,
     )
     config = config or TrainConfig(epochs=1, inner_steps=2, batch_size=32)
-    worker = Worker(0, model, domains, ps, config)
+    worker = Worker(0, model, domains, PSClient(DirectChannel(ps), 0), config)
     return model, ps, worker
 
 
@@ -80,5 +80,5 @@ def test_field_map_validation(tiny_dataset):
     model = build_model("mlp", tiny_dataset, seed=0)
     ps = ParameterServer(model.state_dict(), embedding_names=[])
     with pytest.raises(KeyError):
-        Worker(0, model, [0], ps, TrainConfig(),
+        Worker(0, model, [0], PSClient(DirectChannel(ps), 0), TrainConfig(),
                field_map={"not.a.table": "users"})

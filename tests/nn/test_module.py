@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import Dense, Module, ModuleList, Parameter
+from repro.nn import Dense, Dropout, Module, ModuleList, Parameter
 
 
 class Toy(Module):
@@ -94,6 +94,15 @@ def test_named_modules_walks_tree():
     assert "" in names
     assert "child" in names
     assert "blocks.0" in names
+
+
+def test_named_rngs_yields_every_module_stream():
+    toy = Toy()
+    assert list(toy.named_rngs()) == []   # Dense keeps no stream
+    root_rng, nested_rng = np.random.default_rng(2), np.random.default_rng(3)
+    toy._rng = root_rng
+    toy.blocks.append(Dropout(0.5, nested_rng))
+    assert list(toy.named_rngs()) == [(".", root_rng), ("blocks.1", nested_rng)]
 
 
 def test_parameter_reassignment_replaces_registration():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import MAMDR, TrainConfig
-from repro.data import amazon6_sim, taobao10_sim
+from repro.data import amazon6_sim, taobao_sim
 from repro.distributed import SimulatedCluster
 from repro.experiments import MethodSpec, run_comparison
 from repro.frameworks import Alternate
@@ -47,7 +47,7 @@ def test_mamdr_beats_untrained_and_tracks_alternate(small_amazon):
 def test_distributed_quickstart(small_amazon):
     config = TrainConfig(epochs=3)
     cluster = SimulatedCluster(n_workers=2)
-    bank = cluster.fit(
+    bank = cluster.run(
         lambda wid: build_model("mlp", small_amazon, seed=7),
         small_amazon, config, seed=7,
     )
@@ -56,7 +56,7 @@ def test_distributed_quickstart(small_amazon):
 
 
 def test_experiment_runner_mini_table():
-    dataset = taobao10_sim(scale=0.3, seed=5)
+    dataset = taobao_sim(10, scale=0.3, seed=5)
     config = TrainConfig(epochs=2, inner_steps=3, sample_k=1, dr_steps=2)
     specs = [
         MethodSpec("MLP", model="mlp"),

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import TrainConfig
+from repro.core import TrainConfig, train_space
 from repro.models import build_model
-from repro.serving.bench import make_serving_dataset, train_space
+from repro.serving.bench import bench_train_rng, make_serving_dataset
 from repro.serving.service import Predictor
 from repro.serving.snapshots import SnapshotStore
 from repro.traffic import PoolError, PredictorPool, fork_available
@@ -46,10 +46,11 @@ def serving_setup():
     config = TrainConfig(
         epochs=1, batch_size=32, inner_steps=1, dr_steps=1, sample_k=1,
     )
-    space_a = train_space(model, dataset, config, seed=0)
+    space_a = train_space(model, dataset, config, bench_train_rng(0, dataset))
     # A genuinely different second space: without it, generation
     # attribution would be unprovable (any generation would "match").
-    space_b = train_space(model, dataset, config, seed=101)
+    space_b = train_space(model, dataset, config,
+                          bench_train_rng(101, dataset))
     store = SnapshotStore(keep=4)
     snapshot_a = store.publish(space_a)
     snapshot_b = store.publish(space_b)
