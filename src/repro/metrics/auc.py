@@ -36,15 +36,14 @@ def auc_score(labels, scores):
 def _midranks(values):
     """1-based ranks with ties assigned the mean of their rank range."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
     sorted_values = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # A tie run starts wherever a sorted value differs from the one before.
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_values[1:] != sorted_values[:-1]))
+    )
+    ends = np.concatenate((starts[1:], [len(values)])) - 1
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from ..data.batching import full_batch
 from ..metrics.auc import auc_score
+from ..serving.service import RowLoader
 from ..utils import profiling
 
 __all__ = ["GateConfig", "DomainVerdict", "GateDecision", "ValidationGate"]
@@ -134,16 +135,20 @@ class ValidationGate:
     ``model`` is a probe skeleton used only for forward passes —
     :meth:`~repro.models.base.CTRModel.predict` runs in eval mode and
     consumes no RNG, so probing never perturbs training determinism.
+    States reach it through the serving row path: per state the dense
+    parameters and the embedding rows of the holdout's ids, not the tables.
     """
 
     def __init__(self, model, config=None):
         self.model = model
         self.config = config or GateConfig()
+        self._loader = RowLoader(model)
 
     def score_state(self, state, holdout, domain):
         """(auc, predicted_ctr) of one state on one holdout table."""
-        self.model.load_state_dict(state)
-        scores = self.model.predict(full_batch(holdout, domain))
+        batch = full_batch(holdout, domain)
+        self._loader.load(state, batch.users, batch.items)
+        scores = self.model.predict(batch)
         return (
             float(auc_score(holdout.labels, scores)),
             float(scores.mean()),
@@ -175,12 +180,8 @@ class ValidationGate:
             )
             baseline_auc = None
             if baseline is not None:
-                self.model.load_state_dict(baseline.state_for(domain))
-                baseline_scores = self.model.predict(
-                    full_batch(holdout, domain)
-                )
-                baseline_auc = float(
-                    auc_score(holdout.labels, baseline_scores)
+                baseline_auc, _ = self.score_state(
+                    baseline.state_for(domain), holdout, domain
                 )
             empirical_ctr = float(holdout.labels.mean())
             enforced = len(holdout) >= config.min_samples

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from ..core import TrainConfig
-from ..metrics.auc import auc_score
 from ..models import build_model
 from ..serving.service import ServingService
 from ..serving.snapshots import SnapshotStore
@@ -144,16 +143,12 @@ def build_sim_config(session_config):
     return OnlineSimConfig(**data)
 
 
-def _domain_aucs(model, snapshot, window, tables):
-    """Mean per-domain AUC of ``snapshot`` on a window's two-class tables."""
-    from ..data.batching import full_batch
-
-    aucs = {}
-    for domain, table in tables.items():
-        model.load_state_dict(snapshot.state_for(domain))
-        scores = model.predict(full_batch(table, domain))
-        aucs[domain] = float(auc_score(table.labels, scores))
-    return aucs
+def _domain_aucs(gate, snapshot, tables):
+    """Per-domain AUC of ``snapshot`` on a window's two-class tables."""
+    return {
+        domain: gate.score_state(snapshot.state_for(domain), table, domain)[0]
+        for domain, table in tables.items()
+    }
 
 
 def _two_class_tables(window):
@@ -244,8 +239,8 @@ def run_online_sim(config=None, verbose=False, log=None):
             # Prequential: score before training ever sees this window.
             tables = _two_class_tables(window)
             current = store.current()
-            incremental = _domain_aucs(probe, current, window, tables)
-            day0 = _domain_aucs(probe, frozen, window, tables)
+            incremental = _domain_aucs(publisher.gate, current, tables)
+            day0 = _domain_aucs(publisher.gate, frozen, tables)
             staleness.append(index - 1 - served_key)
             drift_record = monitor.observe(window)
 

@@ -37,7 +37,7 @@ from .batcher import BatchingPolicy, MicroBatcher
 from .embedding_cache import ServingEmbeddingCache, training_access_counts
 from .snapshots import SnapshotStore
 
-__all__ = ["LatencyRecorder", "Predictor", "ServingService"]
+__all__ = ["LatencyRecorder", "Predictor", "RowLoader", "ServingService"]
 
 #: rows per (table, domain) row cache: the pinned hottest-by-training-access
 #: static tier, and the LRU dynamic tier behind it.
@@ -85,28 +85,54 @@ class LatencyRecorder:
         }
 
 
+class RowLoader:
+    """Loads combined states into one model skeleton, row-wise.
+
+    Dense parameters whole; an embedding table in the field map only at
+    the rows a batch reads — all its forward touches.  With no inferable
+    map (fixed-feature encoders) every parameter is dense: the full load.
+    """
+
+    def __init__(self, model, field_map=None):
+        self.model = model
+        self.params = dict(model.named_parameters())
+        if field_map is None:
+            try:
+                field_map = embedding_field_map(model)
+            except ValueError:
+                field_map = {}
+        unknown = set(field_map) - set(self.params)
+        if unknown:
+            raise KeyError(
+                f"field map references unknown parameters: {sorted(unknown)}"
+            )
+        self.field_map = dict(field_map)
+        self.dense_names = frozenset(self.params) - set(self.field_map)
+
+    def load(self, state, users, items, dense=True, rows_for=None):
+        """Load what a forward over ``(users, items)`` reads of ``state``.
+        ``dense=False`` skips dense parameters known to be current;
+        ``rows_for(name, ids)`` replaces the gather from ``state``."""
+        if dense:
+            self.model.load_state_dict(state, names=self.dense_names)
+        fields = {"users": users, "items": items}
+        for name, field in self.field_map.items():
+            ids = fields[field]
+            rows = state[name][ids] if rows_for is None else rows_for(name, ids)
+            self.params[name].assign_rows(ids, rows)
+
+
 class Predictor:
     """Scores per-domain requests against the current snapshot."""
 
     def __init__(self, model, store, field_map=None, use_row_cache=True):
         self._model = model
         self._store = store
-        self._params = dict(model.named_parameters())
-        if field_map is None:
-            try:
-                field_map = embedding_field_map(model)
-            except ValueError:
-                field_map = {}
-        unknown = set(field_map) - set(self._params)
-        if unknown:
-            raise KeyError(
-                f"field map references unknown parameters: {sorted(unknown)}"
-            )
-        self.field_map = dict(field_map)
+        self._loader = RowLoader(model, field_map)
+        self.field_map = self._loader.field_map
         self.use_row_cache = bool(use_row_cache) and bool(self.field_map)
-        self._dense_names = frozenset(
-            name for name in self._params if name not in self.field_map
-        )
+        if not self.use_row_cache:
+            self._loader = RowLoader(model, {})  # all dense: the full path
         self._loaded = None          # (version, domain) currently in the model
         self._caches = {}            # (name, domain) -> ServingEmbeddingCache
         self._cache_version = None
@@ -134,24 +160,15 @@ class Predictor:
         return float(self.predict_batch([user], [item], domain)[0])
 
     def _prepare(self, snapshot, domain, users, items):
+        # A (version, domain) switch refreshes the dense parameters; the
+        # embedding tables are refreshed row-wise, through the row caches.
         key = (snapshot.version, domain)
-        if not self.use_row_cache:
-            if self._loaded != key:
-                self._model.load_state_dict(snapshot.state_for(domain))
-                self._loaded = key
-            return
-        if self._loaded != key:
-            # Domain/version switch: refresh only the small dense
-            # parameters; embedding tables are refreshed row-wise below.
-            self._model.load_state_dict(
-                snapshot.state_for(domain), names=self._dense_names
-            )
-            self._loaded = key
-        fields = {"users": users, "items": items}
-        for name, field in self.field_map.items():
-            ids = fields[field]
-            rows = self._cache_for(snapshot, name, domain).fetch(ids)
-            self._params[name].assign_rows(ids, rows)
+        self._loader.load(
+            snapshot.state_for(domain), users, items, dense=self._loaded != key,
+            rows_for=lambda name, ids:
+                self._cache_for(snapshot, name, domain).fetch(ids),
+        )
+        self._loaded = key
 
     def _cache_for(self, snapshot, name, domain):
         if self._cache_version != snapshot.version:
@@ -238,7 +255,7 @@ class ServingService:
             field_map = self.predictor.field_map
             if field_map:
                 sizes = {
-                    name: self.predictor._params[name].data.shape[0]
+                    name: self.predictor._loader.params[name].data.shape[0]
                     for name in field_map
                 }
                 access_counts = training_access_counts(

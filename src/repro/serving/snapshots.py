@@ -347,8 +347,16 @@ class SharedSnapshotArena:
     # Parent side
     # ------------------------------------------------------------------
     @classmethod
-    def materialize(cls, snapshot, generation):
-        """Pack ``snapshot`` into a fresh shared segment (parent side)."""
+    def materialize(cls, snapshot, generation, spare=None):
+        """Pack ``snapshot`` into a shared segment (parent side).
+
+        ``spare``, a retired owner-side arena no worker can flip to any
+        more, is packed into when large enough, else unlinked for a fresh
+        segment; the caller drops it either way.  An owner keeps its spare
+        *mapped*: copying 10.9 MB takes 0.8 ms into pages it has touched,
+        3.3 ms into the same segment closed and re-mapped by name, 4.5 ms
+        into a fresh one — so do not "save RSS" by closing it.
+        """
         arrays = {}   # id(array) -> (key, array)
         order = []
 
@@ -376,21 +384,30 @@ class SharedSnapshotArena:
         ]
 
         layout = {}
+        dtype_names = {}  # str(dtype) builds the name anew on every call
         offset = 0
         for key, array in order:
             offset = -(-offset // _ALIGN) * _ALIGN  # round up
+            if array.dtype not in dtype_names:
+                dtype_names[array.dtype] = str(array.dtype)
             layout[key] = {
                 "offset": offset,
                 "shape": tuple(array.shape),
-                "dtype": str(array.dtype),
+                "dtype": dtype_names[array.dtype],
             }
             offset += array.nbytes
-        segment = shared_memory.SharedMemory(create=True, size=max(1, offset))
+        size = max(1, offset)
+        if spare is not None and spare.nbytes >= size:
+            # The segment changes hands; the spare object becomes inert.
+            segment, spare._owner, spare._closed = spare._segment, False, True
+        else:
+            if spare is not None:
+                spare.unlink()
+            segment = shared_memory.SharedMemory(create=True, size=size)
         for key, array in order:
-            spec = layout[key]
             view = np.ndarray(
-                spec["shape"], dtype=spec["dtype"],
-                buffer=segment.buf, offset=spec["offset"],
+                array.shape, dtype=array.dtype,
+                buffer=segment.buf, offset=layout[key]["offset"],
             )
             view[...] = array
         manifest = {

@@ -17,8 +17,9 @@ next generation's segment, then broadcasts a reload message through each
 worker's task queue.  The flip is therefore *in-band*: batches enqueued
 before the reload score under the old generation, batches after it under
 the new one, and every response carries its ``(generation, version)`` tag
-so callers can verify against the right reference.  Old segments are
-unlinked only after every worker acknowledged the flip.
+so callers can verify against the right reference.  An old segment is
+retired only after every worker acknowledged the flip; the first one
+retired stays mapped as the single *spare* the next publish packs into.
 
 Transport is deliberately boring: one task pipe per worker (reloads need
 a broadcast), one shared result queue (its feeder thread keeps workers
@@ -162,6 +163,7 @@ class PredictorPool:
         self._results = None
         self._generation = 0
         self._arenas = {}            # generation -> owner-side arena
+        self._spare = None           # retired arena the next publish reuses
         self._pending_acks = {}      # generation -> set(worker ids)
         self._next_worker = 0
         self._inflight = 0
@@ -221,9 +223,10 @@ class PredictorPool:
             pipe.close()
         self._results.close()
         self._results.join_thread()
-        for arena in self._arenas.values():
+        for arena in filter(None, (*self._arenas.values(), self._spare)):
             arena.unlink()
         self._arenas.clear()
+        self._spare = None
         self._procs, self._task_pipes = [], []
         self.started = False
 
@@ -242,13 +245,16 @@ class PredictorPool:
         With ``wait=False`` — hot reload *under load* — the reload rides
         each worker's task queue behind whatever batches are already
         queued; acks are collected during normal result draining and the
-        superseded segment is unlinked once the last worker flipped.
+        superseded segment is retired once the last worker flipped.
         Returns the buffered score results (empty list for ``wait=False``).
         """
         if not self.started:
             raise PoolError("pool is not started")
         self._generation += 1
-        arena = SharedSnapshotArena.materialize(snapshot, self._generation)
+        spare, self._spare = self._spare, None
+        arena = SharedSnapshotArena.materialize(
+            snapshot, self._generation, spare=spare
+        )
         self._arenas[self._generation] = arena
         self._pending_acks[self._generation] = set(range(self.n_workers))
         for pipe in self._task_pipes:
@@ -361,19 +367,24 @@ class PredictorPool:
         raise PoolError(f"unknown pool result {kind!r}")  # pragma: no cover
 
     def _retire_generations(self, keep):
-        """Unlink every fully superseded segment older than ``keep``.
+        """Retire every fully superseded segment older than ``keep``.
 
-        A generation may only be destroyed once no worker can still flip
-        to it — i.e. once a *newer* generation has been acknowledged by
-        every worker (workers score on their attached generation between
-        the publish and their flip).
+        A generation may only be destroyed (or, as the spare, overwritten)
+        once no worker can still flip to it — i.e. once a *newer*
+        generation has been acknowledged by every worker (workers score on
+        their attached generation between the publish and their flip).
         """
         for generation in sorted(self._arenas):
             if generation >= keep:
                 continue
             if any(g <= generation for g in self._pending_acks):
                 continue  # pragma: no cover - defensive; acks are ordered
-            self._arenas.pop(generation).unlink()
+            arena = self._arenas.pop(generation)
+            if self._spare is None:
+                arena.snapshot = None  # keep the mapping, not the heap copy
+                self._spare = arena
+            else:
+                arena.unlink()
             profiling.count("traffic.pool_segment_retired")
 
     def worker_pids(self):

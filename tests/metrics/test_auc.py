@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from repro.metrics import auc_score, mean_domain_auc
+from repro.metrics.auc import _midranks
 
 
 def reference_auc(labels, scores):
@@ -79,3 +80,66 @@ def test_mean_domain_auc_accepts_dict_and_list():
     assert mean_domain_auc([0.6, 0.8]) == pytest.approx(0.7)
     with pytest.raises(ValueError):
         mean_domain_auc({})
+
+
+# ----------------------------------------------------------------------
+# The vectorized rank kernel against the loop it replaced
+# ----------------------------------------------------------------------
+def loop_midranks(values):
+    """The per-element midrank loop ``_midranks`` used to be (the oracle)."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values), dtype=np.float64)
+    sorted_values = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_values[j + 1] == sorted_values[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def loop_auc(labels, scores):
+    positives = labels > 0.5
+    n_pos = int(positives.sum())
+    n_neg = labels.size - n_pos
+    pos_rank_sum = loop_midranks(scores)[positives].sum()
+    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+#: few distinct values (heavy ties), both zeros, both infinities
+TIED_SCORES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, np.inf, -np.inf]
+)
+SCORES = st.one_of(
+    st.lists(TIED_SCORES, min_size=1, max_size=200),
+    st.lists(st.floats(allow_nan=False), min_size=1, max_size=200),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=SCORES, seed=st.integers(0, 10_000))
+def test_midranks_and_auc_bit_equal_to_loop_oracle(scores, seed):
+    scores = np.array(scores, dtype=np.float64)
+    assert np.array_equal(_midranks(scores), loop_midranks(scores))
+    if len(scores) >= 2:
+        labels = np.zeros(len(scores))
+        labels[: len(scores) // 2] = 1.0
+        np.random.default_rng(seed).shuffle(labels)
+        assert auc_score(labels, scores) == loop_auc(labels, scores)
+
+
+@pytest.mark.parametrize("scores", [
+    np.zeros(1),
+    np.full(257, 3.0),                                  # all equal
+    np.array([0.0, -0.0, 0.0, -0.0, 1.0]),
+    np.array([np.inf, -np.inf, np.inf, 0.0, -np.inf]),
+    np.random.default_rng(3).normal(size=10_000),
+    np.random.default_rng(4).integers(0, 7, size=10_000).astype(np.float64),
+], ids=["one", "all-equal", "signed-zero", "inf", "10k", "10k-ties"])
+def test_midranks_bit_equal_on_edge_shapes(scores):
+    assert np.array_equal(_midranks(scores), loop_midranks(scores))
+    if len(scores) >= 2:
+        labels = (np.arange(len(scores)) % 3 == 0).astype(np.float64)
+        assert auc_score(labels, scores) == loop_auc(labels, scores)

@@ -6,10 +6,15 @@ import json
 
 import pytest
 
+from repro.core import TrainConfig, train_space
+from repro.data.batching import full_batch
+from repro.metrics import auc_score
+from repro.models import build_model
 from repro.online import GateConfig, GatedPublisher, ValidationGate
 from repro.serving import SnapshotStore
 from repro.utils.seeding import spawn_rng
 
+from tests.conftest import make_tiny_dataset
 from tests.online.conftest import make_stream_model
 from tests.online.test_trainer import make_trainer
 
@@ -19,8 +24,6 @@ pytestmark = pytest.mark.online
 @pytest.fixture(scope="module")
 def candidate(stream, skeleton):
     """A real incremental update: (states, default_state, holdouts)."""
-    from repro.core import TrainConfig
-
     config = TrainConfig(epochs=1, batch_size=64, inner_steps=2, dn_rounds=1,
                          sample_k=1, dr_steps=1)
     trainer = make_trainer(stream, skeleton, config)
@@ -189,3 +192,74 @@ def test_bootstrap_failure_raises(skeleton, candidate):
     with pytest.raises(RuntimeError, match="bootstrap"):
         publisher.publish(states, default, holdouts, key=0)
     assert publisher.quarantine      # still recorded for diagnosis
+
+
+# ----------------------------------------------------------------------
+# Row-path scoring is the full-load scoring, bit for bit
+# ----------------------------------------------------------------------
+class FullLoadGate(ValidationGate):
+    """The gate as it scored before the row path: whole tables per state."""
+
+    def score_state(self, state, holdout, domain):
+        self.model.load_state_dict(state)
+        scores = self.model.predict(full_batch(holdout, domain))
+        return float(auc_score(holdout.labels, scores)), float(scores.mean())
+
+
+def trained_states(model_name, dataset, seed):
+    """``({domain: Θ_i}, θ_S)`` of a short seeded MAMDR run."""
+    config = TrainConfig(epochs=3, batch_size=32, inner_steps=2,
+                         dr_steps=1, sample_k=1)
+    space = train_space(build_model(model_name, dataset, seed=0), dataset,
+                        config, spawn_rng(seed, "test", "row-path"))
+    states = {d: space.combined(d) for d in range(dataset.n_domains)}
+    return states, space.shared
+
+
+def rng_states(model):
+    return [
+        module._rng.bit_generator.state
+        for _name, module in model.named_modules() if hasattr(module, "_rng")
+    ]
+
+
+@pytest.mark.parametrize("model_name, feature_mode, row_path", [
+    ("mlp", "trainable", True),
+    ("mlp", "fixed", False),       # Taobao encoder: no id tables, full load
+    ("star", "trainable", True),
+])
+def test_row_path_decisions_equal_full_load(model_name, feature_mode,
+                                            row_path):
+    dataset = make_tiny_dataset(feature_mode)
+    probe = build_model(model_name, dataset, seed=0)
+    reference = build_model(model_name, dataset, seed=0)
+    served, shared = trained_states(model_name, dataset, seed=1)
+    candidate, _ = trained_states(model_name, dataset, seed=2)
+    holdouts = {d: dataset.domain(d).train for d in range(dataset.n_domains)}
+    baseline = SnapshotStore().publish_states(served, default_state=shared)
+    config = GateConfig(min_samples=2, max_auc_drop=0.3)
+    gate = ValidationGate(probe, config)
+    assert bool(gate._loader.field_map) == row_path
+    oracle = FullLoadGate(reference, config)
+    before = rng_states(probe)
+
+    def digest(decision):
+        return json.dumps(decision.as_dict(), sort_keys=True)
+
+    clean = gate.evaluate(candidate, holdouts, baseline=baseline)
+    assert clean.accepted
+    assert digest(clean) == digest(
+        oracle.evaluate(candidate, holdouts, baseline=baseline)
+    )
+    assert digest(gate.evaluate(candidate, holdouts)) == digest(
+        oracle.evaluate(candidate, holdouts)
+    )
+    broken = corrupt(candidate)
+    rejected = gate.evaluate(broken, holdouts, baseline=baseline)
+    expected = oracle.evaluate(broken, holdouts, baseline=baseline)
+    assert not rejected.accepted and rejected.reasons
+    assert rejected.reasons == expected.reasons
+    assert digest(rejected) == digest(expected)
+    # Probing is invisible to training: mode and dropout RNG untouched.
+    assert probe.training
+    assert rng_states(probe) == before

@@ -9,6 +9,9 @@ under the generation the response reports.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,8 @@ from repro.serving.snapshots import SnapshotStore
 from repro.traffic import PoolError, PredictorPool, fork_available
 from repro.traffic.loadbench import check_pool_parity
 from repro.traffic.tracegen import TraceConfig, generate_trace
+
+from tests.traffic.conftest import SHM_DIR, shm_segments
 
 pytestmark = [
     pytest.mark.traffic,
@@ -137,3 +142,140 @@ def test_worker_processes_are_real(serving_setup):
         pids = pool.worker_pids()
         assert len(set(pids)) == 2
         assert os.getpid() not in pids
+
+
+# ----------------------------------------------------------------------
+# Recycled arena segments
+# ----------------------------------------------------------------------
+def submit_batches(pool, sent, users, items, count, worker=None):
+    """``count`` distinct batches, remembered by id for the parity check."""
+    for _ in range(count):
+        batch_id = len(sent)
+        domain = batch_id % 3
+        lo = (batch_id * 5) % 64
+        sent[batch_id] = (domain, users[lo:lo + 16], items[lo:lo + 16])
+        pool.submit(batch_id, domain, *sent[batch_id][1:], worker=worker)
+
+
+def assert_replies_match_pinned(model, results, sent, published):
+    """Every reply equals a ``Predictor`` pinned to the generation it
+    reports; returns the generations seen."""
+    references = {
+        generation: Predictor(model, PinnedStore(snapshot))
+        for generation, snapshot in published.items()
+    }
+    for _, _, batch_id, generation, version, scores in results:
+        reference = references[generation]
+        assert version == published[generation].version
+        reference.invalidate_caches()   # the references share one model
+        expected = reference.predict_batch(*sent[batch_id][1:],
+                                           sent[batch_id][0])
+        assert np.array_equal(scores, np.asarray(expected))
+    return {message[3] for message in results}
+
+
+def test_twelve_reloads_under_load_recycle_segments(serving_setup):
+    _, model, snapshot_a, snapshot_b, users, items = serving_setup
+    preexisting = shm_segments()
+    names, sent, published, results = set(), {}, {}, []
+    with PredictorPool(model, n_workers=2) as pool:
+        for step in range(12):
+            if step:
+                submit_batches(pool, sent, users, items, 4)  # in flight
+            snapshot = (snapshot_a, snapshot_b)[step % 2]
+            assert pool.publish(snapshot, wait=False) == []
+            published[pool.generation] = snapshot
+            names |= shm_segments() - preexisting
+            # Two more per worker, queued behind the reload: draining
+            # them drains both acks, so the superseded segment retires.
+            submit_batches(pool, sent, users, items, 4)
+            results.extend(pool.drain())
+            assert sorted(pool.stats()["segments"]) == [pool.generation]
+        assert len(results) == len(sent)
+        seen = assert_replies_match_pinned(model, results, sent, published)
+        assert seen == set(range(1, 13))
+        assert len(names) <= 3, names
+        assert len(shm_segments() - preexisting) == 2   # live + spare
+
+
+def test_snapshot_larger_than_spare_gets_fresh_segment(serving_setup):
+    _, model, snapshot_a, snapshot_b, users, items = serving_setup
+    # The same states under more domain keys, copied rather than aliased:
+    # genuinely more bytes than any segment the pool has mapped.
+    big = SnapshotStore().publish_states(
+        {d: {name: value + 0.0
+             for name, value in snapshot_b.state_for(d % 3).items()}
+         for d in range(9)},
+        default_state=snapshot_b.default_state,
+    )
+    preexisting = shm_segments()
+    with PredictorPool(model, n_workers=2) as pool:
+        pool.publish(snapshot_a)
+        pool.publish(snapshot_b)
+        (live,) = pool.stats()["segments"].values()
+        spare = shm_segments() - preexisting
+        assert len(spare) == 2          # generation 2 and the spare
+        pool.publish(big)
+        assert pool.stats()["segments"][3] > live
+        # Generation 2 is the new spare; the too-small one is gone and
+        # generation 3 sits in a segment that did not exist before.
+        now = shm_segments() - preexisting
+        assert len(now) == 2 and len(now - spare) == 1
+        sent = {}
+        submit_batches(pool, sent, users, items, 4)
+        assert_replies_match_pinned(model, pool.drain(), sent, {3: big})
+        # Retired into the spare slot, generation 3 keeps its mapping but
+        # must let go of the heap snapshot it was packed from.
+        heap_copy = weakref.ref(big)
+        del big
+        pool.publish(snapshot_a)
+        gc.collect()
+        assert heap_copy() is None
+
+
+def test_no_segment_is_rewritten_before_every_worker_acked(serving_setup):
+    """Hold one worker on generation 1 (SIGSTOP): its segment must stay
+    live, unwritten and out of the spare slot until that worker flipped."""
+    import hashlib
+    import os
+    import signal
+
+    _, model, snapshot_a, snapshot_b, users, items = serving_setup
+    preexisting = shm_segments()
+    sent, published = {}, {}
+    with PredictorPool(model, n_workers=2) as pool:
+        pool.publish(snapshot_a)
+        published[1] = snapshot_a
+        (first,) = shm_segments() - preexisting
+        digest = hashlib.sha256((SHM_DIR / first).read_bytes()).digest()
+        held = pool.worker_pids()[1]
+        os.kill(held, signal.SIGSTOP)
+        try:
+            submit_batches(pool, sent, users, items, 1, worker=1)
+            pool.publish(snapshot_b, wait=False)
+            published[2] = snapshot_b
+            # Worker 0's reply rides behind its reload: its ack is in.
+            submit_batches(pool, sent, users, items, 1, worker=0)
+            results = pool.drain(expected=1)
+            assert results[0][3] == 2
+            assert sorted(pool.stats()["segments"]) == [1, 2]
+            pool.publish(snapshot_a, wait=False)
+            published[3] = snapshot_a
+            assert sorted(pool.stats()["segments"]) == [1, 2, 3]
+            assert len(shm_segments() - preexisting) == 3   # none reused
+            assert hashlib.sha256(
+                (SHM_DIR / first).read_bytes()
+            ).digest() == digest
+        finally:
+            os.kill(held, signal.SIGCONT)
+        # The held worker now scores its queued batch on generation 1 —
+        # from the segment that was not touched — then flips twice.
+        submit_batches(pool, sent, users, items, 4)
+        results.extend(pool.drain())
+        assert sorted(pool.stats()["segments"]) == [3]
+        seen = assert_replies_match_pinned(model, results, sent, published)
+        assert seen == {1, 2, 3}
+        # Generation 1's segment became the spare, generation 2's was
+        # retired second and unlinked.
+        assert shm_segments() - preexisting >= {first}
+        assert len(shm_segments() - preexisting) == 2
