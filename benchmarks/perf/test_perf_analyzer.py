@@ -21,17 +21,30 @@ from __future__ import annotations
 
 import pytest
 
-from repro.data import sample_batch
+from repro.data import DomainSpec, SyntheticConfig, generate_dataset, sample_batch
 from repro.models import build_model
 from repro.nn.compile import executor_for
 from repro.nn.optim import make_optimizer
 from repro.tooling import sanitizer
 from repro.utils.seeding import spawn_rng
 
-from test_perf_compile import best_time, make_mdr_dataset
+from test_perf_microbench import best_time
 
 N_STEPS = 32
 BATCH = 16
+
+
+def make_mdr_dataset(n_domains, seed=0):
+    """Small fixed-feature domains: every step replays one dense tape."""
+    specs = tuple(
+        DomainSpec(f"C{i}", 120, 0.25 + 0.05 * (i % 8))
+        for i in range(n_domains)
+    )
+    return generate_dataset(SyntheticConfig(
+        name=f"compile_{n_domains}", domains=specs, n_users=400,
+        n_items=200, latent_dim=8, feature_mode="fixed", feature_dim=10,
+        seed=seed,
+    ))
 
 
 def time_verify(dataset, variant, n_steps=N_STEPS):
@@ -56,7 +69,7 @@ def time_verify(dataset, variant, n_steps=N_STEPS):
                 batch = sample_batch(dataset.domain(0).train, 0, BATCH, rng)
                 executor.step(batch, optimizer)
 
-    return best_time(loop)
+    return best_time(loop, repeats=3, warmup=1)
 
 
 @pytest.mark.perf_smoke

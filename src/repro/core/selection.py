@@ -12,6 +12,7 @@ import math
 
 from ..data.batching import full_batch
 from ..metrics.auc import auc_score
+from ..nn.compile import eager_step
 from ..nn.state import clone_state
 
 __all__ = [
@@ -144,11 +145,7 @@ def finetune_with_selection(model, domain, optimizer, rng, batch_size,
     step = 0
     for batch in iter_minibatches(train_table, domain.index, batch_size,
                                   rng=rng, max_batches=max_steps):
-        # lint: allow[eager-inner-loop] — per-round fine-tune probe, eager by design.
-        loss = model.loss(batch)
-        model.zero_grad()
-        loss.backward()
-        optimizer.step()
+        eager_step(model, batch, optimizer)
         step += 1
         if step % eval_every == 0 or step == max_steps:
             tracker.update(domain_split_auc(model, domain), model.state_dict())

@@ -15,13 +15,7 @@ The Section IV-E production architecture, in-process and deterministic:
 * :mod:`~repro.distributed.checkpoint` — checksummed PS checkpoints and
   exact resume;
 * :mod:`~repro.distributed.cluster` — the driver: sharding, scheduling,
-  heartbeat-based eviction with greedy re-sharding, checkpoint/resume;
-* :mod:`~repro.distributed.parallel` — real multi-core fan-out: forked
-  worker processes replay the compiled step tape over domain shards,
-  talking to the driver's PS through a pipe-backed transport channel;
-* :mod:`~repro.distributed.vector` — single-core lane parallelism: all
-  workers of a bulk-synchronous DN round (or all DR targets) replay as
-  one lane-batched tape, bitwise-equal to the sequential reference.
+  heartbeat-based eviction with greedy re-sharding, checkpoint/resume.
 
 Prefer driving training through :class:`repro.train.Session`; the names
 below are the supported surface for building custom setups.
@@ -31,15 +25,7 @@ from .cache import EmbeddingCache
 from .checkpoint import ClusterCheckpoint, load_checkpoint, save_checkpoint
 from .cluster import SimulatedCluster, reassign_domains, shard_domains
 from .faults import FaultPlan, WorkerCrashed
-from .parallel import (
-    PipeChannel,
-    RemoteWorkerError,
-    parallel_dn_epoch,
-    parallel_dr_rounds,
-    resolve_worker_count,
-)
 from .ps import ParameterServer
-from .vector import sync_dn_round_reference, vector_dn_round, vector_dr_rounds
 from .transport import (
     Channel,
     DeliveryFailed,
@@ -95,14 +81,4 @@ __all__ = [
     "SimulatedCluster",
     "shard_domains",
     "reassign_domains",
-    # multi-core parallel replay
-    "PipeChannel",
-    "RemoteWorkerError",
-    "parallel_dn_epoch",
-    "parallel_dr_rounds",
-    "resolve_worker_count",
-    # single-core lane-vectorized replay
-    "vector_dn_round",
-    "sync_dn_round_reference",
-    "vector_dr_rounds",
 ]

@@ -18,11 +18,10 @@ from __future__ import annotations
 #: The active tracer (``repro.nn.compile._Tracer``) or ``None``.
 TRACER = None
 
-# Primitive-kind metadata shared by the compiler (``repro.nn.compile``),
-# the lane-vectorized engine (``repro.nn.vectorized``) and the static
-# tape verifier (``repro.tooling.analyzer.tape_verifier``).  Keeping the
-# sets here — instead of three private copies — means a new primitive
-# must be classified exactly once.
+# Primitive-kind metadata shared by the compiler (``repro.nn.compile``)
+# and the static tape verifier (``repro.tooling.analyzer.tape_verifier``).
+# Keeping the sets here — instead of two private copies — means a new
+# primitive must be classified exactly once.
 
 #: graph-node kinds whose output may be a live *view* of its parent's
 #: buffer (the compiler then emits no kernel for the node).

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import contextlib
 import copy as _copylib
-import weakref
 from contextvars import ContextVar
 
 import numpy as np
@@ -1115,13 +1114,6 @@ def _compile_optimizer_schedule(optimizer, leaf_param_ids):
 # Tape
 # ----------------------------------------------------------------------
 
-# One fused optimizer schedule per live optimizer instance (DR creates a
-# fresh inner optimizer per helper pass; weak keys let them die).  Values
-# are ``(leaf_param_ids, schedule)`` — the leaf set the schedule was
-# compiled against, shared by every tape of the same model.
-_OPT_SCHEDULES = weakref.WeakKeyDictionary()
-
-
 class Tape:
     """A compiled training step: flat forward/backward/optimizer schedules."""
 
@@ -1144,8 +1136,8 @@ class Tape:
         self._all_params = all_params
         self._rngs = rngs
         self._node_records = node_records
-        # Declarative views of the same schedules, consumed by the
-        # lane-vectorized engine (repro.nn.vectorized): the chronological
+        # Declarative views of the same schedules, read by the static tape
+        # verifier (repro.tooling.analyzer.tape_verifier): the chronological
         # record stream and, per backward step, (record, in-cell, targets).
         self._trace_records = trace_records or []
         self._backward_plan = backward_plan or []
@@ -1154,8 +1146,6 @@ class Tape:
         self._backward_fast = backward_fast or []
         #: static certificate from repro.tooling.analyzer, or None.
         self.certificate = None
-        #: per-lane-count cache of vectorized replays built from this tape.
-        self._vector_cache = {}
 
     @property
     def verify_mode(self):
@@ -1199,18 +1189,21 @@ class Tape:
 
     def _apply_optimizer(self, optimizer):
         start = profiling.tick()
-        # The schedule cache is global, not per tape: a schedule rebinds the
-        # optimizer's moment slots to its own flat buffers, so two tapes
+        # The schedule belongs to the optimizer, not to the tape: it rebinds
+        # the optimizer's moment slots to its own flat buffers, so two tapes
         # each holding their own schedule for one optimizer would invalidate
-        # each other on every signature switch and recompile per step.
-        entry = _OPT_SCHEDULES.get(optimizer)
+        # each other on every signature switch and recompile per step.  The
+        # entry is ``(leaf_param_ids, schedule)`` — the leaf set it was
+        # compiled against, shared by every tape of the same model — and is
+        # collected with its optimizer (DR creates one per helper pass).
+        entry = getattr(optimizer, "_compiled_schedule", None)
         if (
             entry is None
             or entry[0] != self._leaf_param_ids
             or not entry[1].valid()
         ):
             schedule = _compile_optimizer_schedule(optimizer, self._leaf_param_ids)
-            _OPT_SCHEDULES[optimizer] = (self._leaf_param_ids, schedule)
+            optimizer._compiled_schedule = (self._leaf_param_ids, schedule)
         else:
             schedule = entry[1]
         schedule.run()
@@ -1411,16 +1404,18 @@ class StepExecutor:
         return tape, loss.item()
 
 
-# Executors are cached per model so every call site (train_steps, the
-# incremental trainer, parallel workers) shares one tape cache per model.
-_EXECUTORS = weakref.WeakKeyDictionary()
-
-
 def executor_for(model):
-    """The (cached) :class:`StepExecutor` for ``model``."""
-    executor = _EXECUTORS.get(model)
+    """The (cached) :class:`StepExecutor` for ``model``.
+
+    The model owns its executor, so every call site (``train_steps``, the
+    incremental trainer) shares one tape cache per model and the cache is
+    collected with the model.
+    """
+    executor = model.__dict__.get("_step_executor")
     if executor is None:
-        executor = _EXECUTORS[model] = StepExecutor(model)
+        executor = StepExecutor(model)
+        # Not Module.__setattr__: the executor is no parameter or submodule.
+        object.__setattr__(model, "_step_executor", executor)
     return executor
 
 

@@ -9,9 +9,9 @@ Two front ends share one pass/report/baseline infrastructure
   planning.  A passing tape is *statically certified* and the executor
   may skip the bitwise eager re-verification on it.
 * the **determinism/effect auditor** (:mod:`.effects`) — interprocedural
-  AST effect inference over the parallel runtime flagging paths by
-  which ``parallel_dn_epoch`` / ``parallel_dr_rounds`` results could
-  depend on worker count or scheduling.
+  AST effect inference over ``repro/distributed`` and ``repro/online``
+  flagging paths by which ``SimulatedCluster.run`` /
+  ``IncrementalTrainer.update`` results could depend on scheduling.
 
 ``python -m repro.tooling.analyze`` drives both against a committed
 findings baseline.

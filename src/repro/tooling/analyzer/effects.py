@@ -1,13 +1,14 @@
-"""Interprocedural determinism/effect auditor for the parallel runtime.
+"""Interprocedural determinism/effect auditor for the training runtime.
 
-MAMDR's reproducibility claims (DN/DR replay, worker-count invariance)
-are only as strong as the runtime's discipline: results must not depend
-on wall-clock time, unseeded randomness, hash iteration order, process
-scheduling or state smuggled across fork boundaries.  Today that
-discipline is checked *dynamically* — run the cluster twice, compare
-bits.  This pass checks it *statically*: an AST effect inference over
-``repro/distributed/`` and ``repro/online/`` that infers, per function,
-which of five effects it (or anything it calls) can perform:
+MAMDR's reproducibility claims (DN/DR replay, resumed == uninterrupted,
+seeded fault plans) are only as strong as the runtime's discipline:
+results must not depend on wall-clock time, unseeded randomness, hash
+iteration order, process scheduling or state smuggled across fork
+boundaries.  Today that discipline is checked *dynamically* — run the
+cluster twice, compare bits.  This pass checks it *statically*: an AST
+effect inference over ``repro/distributed/`` and ``repro/online/`` that
+infers, per function, which of five effects it (or anything it calls)
+can perform:
 
 ``wall-clock``
     reads ``time.time``/``perf_counter``/``monotonic``/``datetime.now``
@@ -28,8 +29,9 @@ which of five effects it (or anything it calls) can perform:
 
 Effects propagate through the project call graph (fixpoint over
 :meth:`ProjectIndex.resolve_call`), so the audit can answer the real
-question: *by what path could* ``parallel_dn_epoch`` / ``parallel_dr_rounds``
-*results depend on worker count or scheduling?*  Every effect site is a
+question: *by what path could the results of* ``SimulatedCluster.run`` /
+``IncrementalTrainer.update`` — the two drivers that train over the
+transport and on the stream — *depend on scheduling?*  Every effect site is a
 :class:`Finding` (reviewed hits live in the committed baseline); any
 path from an entry point to a nondeterminism-relevant effect
 (``unseeded-rng``, ``iteration-order``, ``fork-unsafe-capture``) is
@@ -54,11 +56,11 @@ EFFECTS = (
     "fork-unsafe-capture",
 )
 
-#: the functions whose worker-count/scheduling invariance the audit
-#: exists to protect, and the effects that would break it.
+#: the drivers whose seeded reproducibility the audit exists to protect,
+#: and the effects that would break it.
 ENTRY_POINTS = (
-    ("repro.distributed.parallel", "parallel_dn_epoch"),
-    ("repro.distributed.parallel", "parallel_dr_rounds"),
+    ("repro.distributed.cluster", "SimulatedCluster.run"),
+    ("repro.online.trainer", "IncrementalTrainer.update"),
 )
 NONDETERMINISM = frozenset(
     {"unseeded-rng", "iteration-order", "fork-unsafe-capture"}

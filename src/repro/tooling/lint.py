@@ -34,9 +34,9 @@ them (stdlib ``ast`` only, no third-party dependencies):
     No hand-rolled eager training step (``model.loss`` → ``backward`` →
     ``optimizer.step``) in the driver layers (``repro/core/``,
     ``repro/distributed/``) — steps must route through the compiled
-    executor (:func:`repro.nn.compile.active_executor`) so tracing,
-    replay verification and the vectorized engine see every step; the
-    two sanctioned eager fallbacks carry explicit waivers.
+    executor (:func:`repro.nn.compile.active_executor`, or
+    :func:`repro.nn.compile.eager_step` where a step is eager by design)
+    so tracing and replay verification see every step.
 ``stale-waiver``
     Every ``# lint: allow[rule]`` comment must still suppress at least
     one violation; waivers that outlive the code they excused are

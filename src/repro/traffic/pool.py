@@ -33,16 +33,20 @@ from __future__ import annotations
 import os
 import queue as queue_module
 import traceback
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
 
-from ..distributed.parallel import fork_available
 from ..serving.service import Predictor
 from ..serving.snapshots import SharedSnapshotArena
 from ..utils import profiling
 
 __all__ = ["PoolError", "PredictorPool", "fork_available"]
+
+
+def fork_available():
+    """Whether the platform has the ``fork`` start method the pool needs."""
+    return "fork" in get_all_start_methods()
 
 
 class PoolError(RuntimeError):

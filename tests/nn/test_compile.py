@@ -10,10 +10,13 @@ primitive set at once.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.core import TrainConfig, domain_negotiation_epoch
+from repro.core import TrainConfig, domain_negotiation_epoch, train_space
 from repro.core.regularization import domain_regularization_round
 from repro.core.param_space import DomainParameterSpace
 from repro.data import DomainSpec, SyntheticConfig, generate_dataset
@@ -205,3 +208,32 @@ class TestDeterminism:
             assert set(reference) == set(candidate)
             for name in reference:
                 assert np.array_equal(reference[name], candidate[name]), name
+
+
+class TestCacheLifetime:
+    @staticmethod
+    def _live(types):
+        return sum(isinstance(obj, types) for obj in gc.get_objects())
+
+    def test_discarded_models_and_optimizers_are_collected(self):
+        """The executor belongs to its model and the schedule to its
+        optimizer, so dropping a fit drops its tapes: after K compiled
+        MAMDR epochs on K throwaway models no executor, schedule or model
+        is left alive (DR alone builds one optimizer per helper pass)."""
+        dataset = make_tiny_dataset()
+        config = TrainConfig(epochs=1, batch_size=16, inner_steps=2,
+                             dr_steps=2, sample_k=1)
+        cached = (compile_mod.StepExecutor, compile_mod._OptimizerSchedule)
+        gc.collect()
+        before = self._live(cached)
+        models = []
+        for seed in range(4):
+            model = build_model("mlp", dataset, seed=seed)
+            with compiled_execution():
+                train_space(model, dataset, config, spawn_rng(seed, "leak"))
+            assert executor_for(model).replays > 0
+            models.append(weakref.ref(model))
+            del model
+        gc.collect()
+        assert self._live(cached) == before
+        assert [ref() for ref in models] == [None] * 4

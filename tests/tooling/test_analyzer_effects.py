@@ -1,5 +1,5 @@
 """Determinism/effect auditor: planted effects are detected, reachable
-nondeterminism rolls up to the parallel entry points with witness
+nondeterminism rolls up to the driver entry points with witness
 chains, and the real runtime audits clean against the committed
 baseline."""
 
@@ -105,26 +105,28 @@ class TestForkCapture:
         """The planted bug from the issue: a closure shipped to a worker
         process captures an RNG constructed in the parent."""
         findings, stats = audit_sources(**{
-            "src/repro/distributed/parallel.py": """
+            "src/repro/distributed/cluster.py": """
                 import multiprocessing as mp
                 import random
 
-                def parallel_dn_epoch(domains):
-                    rng = random.Random(0)
+                class SimulatedCluster:
+                    def run(self, domains):
+                        rng = random.Random(0)
 
-                    def _worker(domain):
-                        return rng.random() * domain
+                        def _worker(domain):
+                            return rng.random() * domain
 
-                    procs = [
-                        mp.Process(target=_worker, args=(d,)) for d in domains
-                    ]
-                    for proc in procs:
-                        proc.start()
+                        procs = [
+                            mp.Process(target=_worker, args=(d,))
+                            for d in domains
+                        ]
+                        for proc in procs:
+                            proc.start()
             """,
         })
         (capture,) = [f for f in findings if f.rule == "fork-unsafe-capture"]
         assert "'rng'" in capture.message
-        assert capture.symbol == "parallel_dn_epoch"
+        assert capture.symbol == "SimulatedCluster.run"
         rollups = [
             f for f in findings if f.rule == "entrypoint-nondeterminism"
         ]
@@ -132,19 +134,20 @@ class TestForkCapture:
 
     def test_rng_passed_by_seed_is_clean(self):
         findings, _ = audit_sources(**{
-            "src/repro/distributed/parallel.py": """
+            "src/repro/distributed/cluster.py": """
                 import multiprocessing as mp
 
-                def parallel_dn_epoch(domains, seed):
-                    def _worker(domain, worker_seed):
-                        return worker_seed * domain
+                class SimulatedCluster:
+                    def run(self, domains, seed):
+                        def _worker(domain, worker_seed):
+                            return worker_seed * domain
 
-                    procs = [
-                        mp.Process(target=_worker, args=(d, seed + i))
-                        for i, d in enumerate(domains)
-                    ]
-                    for proc in procs:
-                        proc.start()
+                        procs = [
+                            mp.Process(target=_worker, args=(d, seed + i))
+                            for i, d in enumerate(domains)
+                        ]
+                        for proc in procs:
+                            proc.start()
             """,
         })
         assert findings == []
@@ -152,14 +155,12 @@ class TestForkCapture:
 
 class TestInterprocedural:
     SOURCES = {
-        "src/repro/distributed/parallel.py": """
+        "src/repro/distributed/cluster.py": """
             from .pool import drain
 
-            def parallel_dn_epoch(domains):
-                return drain(domains)
-
-            def parallel_dr_rounds(domains):
-                return [sorted(d) for d in domains]
+            class SimulatedCluster:
+                def run(self, domains):
+                    return drain(domains)
         """,
         "src/repro/distributed/pool.py": """
             def drain(domains):
@@ -169,31 +170,36 @@ class TestInterprocedural:
             def run(domain):
                 return domain
         """,
+        "src/repro/online/trainer.py": """
+            class IncrementalTrainer:
+                def update(self, domains):
+                    return [sorted(d) for d in domains]
+        """,
     }
 
     def test_effects_propagate_to_entry_point_with_witness_chain(self):
         findings, stats = audit_sources(**self.SOURCES)
         summary = stats["entry_points"][
-            "repro.distributed.parallel.parallel_dn_epoch"
+            "repro.distributed.cluster.SimulatedCluster.run"
         ]
-        assert summary["iteration-order"] == "parallel_dn_epoch -> drain"
+        assert summary["iteration-order"] == "SimulatedCluster.run -> drain"
         rollups = [
             f for f in findings if f.rule == "entrypoint-nondeterminism"
         ]
-        assert [f.symbol for f in rollups] == ["parallel_dn_epoch"]
-        assert "parallel_dn_epoch -> drain" in rollups[0].message
+        assert [f.symbol for f in rollups] == ["SimulatedCluster.run"]
+        assert "SimulatedCluster.run -> drain" in rollups[0].message
 
     def test_clean_entry_point_gets_no_rollup(self):
         _, stats = audit_sources(**self.SOURCES)
         assert stats["entry_points"][
-            "repro.distributed.parallel.parallel_dr_rounds"
+            "repro.online.trainer.IncrementalTrainer.update"
         ] == {}
 
 
 class TestRealRuntime:
     def test_runtime_audits_clean_against_committed_baseline(self):
         """Acceptance: the determinism auditor runs clean over the actual
-        parallel runtime — every finding is in analyzer_baseline.json."""
+        training runtime — every finding is in analyzer_baseline.json."""
         findings, stats = audit_paths([
             REPO_ROOT / "src" / "repro" / "distributed",
             REPO_ROOT / "src" / "repro" / "online",
@@ -204,8 +210,8 @@ class TestRealRuntime:
         assert len(known) == len(findings)
         assert stats["functions"] > 50
         assert set(stats["entry_points"]) == {
-            "repro.distributed.parallel.parallel_dn_epoch",
-            "repro.distributed.parallel.parallel_dr_rounds",
+            "repro.distributed.cluster.SimulatedCluster.run",
+            "repro.online.trainer.IncrementalTrainer.update",
         }
 
     def test_baseline_has_no_stale_entries(self):
