@@ -7,17 +7,14 @@ Usage::
     python -m repro.cli run fig9 --seeds 0
     python -m repro.cli stats taobao30_sim
     python -m repro.cli train --config session.json
-    python -m repro.cli serve-bench [--batch-sizes 1,8,32] [--requests 1500]
-    python -m repro.cli traffic-bench [--workers 1,2] [--requests 640]
-    python -m repro.cli domains-bench [--domain-counts 1000,5000,10000]
-    python -m repro.cli data-bench [--event-counts 1000000,100000000]
+    python -m repro.cli online-sim [--config session.json] [--seed 0]
 
 Each ``run`` prints the same table the corresponding benchmark target
 emits, without pytest in the loop.  ``train`` drives a single
 :class:`repro.train.Session` from a unified JSON config file — the same
 artifact works for local frameworks and the fault-injectable distributed
-cluster — and ``serve-bench`` accepts the same file to configure the
-model it trains before publishing.
+cluster — and ``online-sim`` reads the same file's ``online`` section to
+configure the continual-learning pipeline.
 """
 
 from __future__ import annotations
@@ -121,105 +118,15 @@ def build_parser():
                        help="path to a repro.train.SessionConfig JSON file")
     train.add_argument("--verbose", action="store_true")
 
-    serve = commands.add_parser(
-        "serve-bench",
-        help="train a small MAMDR model, publish a snapshot and replay a "
-             "heavy-tailed request stream through the serving stack",
-    )
-    serve.add_argument("--batch-sizes", type=_seeds, default=(1, 8, 32),
-                       help="comma-separated max_batch_size settings")
-    serve.add_argument("--requests", type=int, default=1500,
-                       help="replayed requests per setting (default: 1500)")
-    serve.add_argument("--epochs", type=int, default=2,
-                       help="training epochs before publishing (default: 2)")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--out", default=None,
-                       help="benchmark journal path "
-                            "(default: BENCH_serving.json; '-' to skip)")
-    serve.add_argument("--config", default=None,
-                       help="optional SessionConfig JSON file supplying the "
-                            "model, seed and training hyper-parameters")
-    serve.add_argument("--verbose", action="store_true")
-
-    traffic = commands.add_parser(
-        "traffic-bench",
-        help="sweep trace-driven offered load over the multi-process "
-             "predictor pool: saturation knee, overload SLO behavior, and "
-             "pool/single-process bit-parity across a hot reload",
-    )
-    traffic.add_argument("--workers", type=_seeds, default=(1, 2),
-                         help="comma-separated pool worker counts "
-                              "(default: 1,2)")
-    traffic.add_argument("--requests", type=int, default=640,
-                         help="trace length in requests (default: 640)")
-    traffic.add_argument("--max-batch", type=int, default=32,
-                         help="dispatch batch size bound (default: 32)")
-    traffic.add_argument("--seed", type=int, default=0)
-    traffic.add_argument("--epochs", type=int, default=1,
-                         help="training epochs before publishing "
-                              "(default: 1)")
-    traffic.add_argument("--out", default=None,
-                         help="benchmark journal path "
-                              "(default: BENCH_serving.json; '-' to skip)")
-    traffic.add_argument("--config", default=None,
-                         help="optional SessionConfig JSON file supplying "
-                              "the model, seed and training "
-                              "hyper-parameters")
-    traffic.add_argument("--verbose", action="store_true")
-
-    domains = commands.add_parser(
-        "domains-bench",
-        help="domain-axis scaling curve: train, publish and serve a "
-             "sparse-tail preset at 1k-50k domains with the dense and "
-             "clustered-sharded parameter backends, recording wall-time "
-             "and peak memory per cell",
-    )
-    domains.add_argument("--domain-counts", type=_seeds,
-                         default=(1000, 5000, 10000),
-                         help="comma-separated domain counts "
-                              "(default: 1000,5000,10000)")
-    domains.add_argument("--clusters", type=int, default=64,
-                         help="k-means cluster count for the clustered "
-                              "backend (default: 64)")
-    domains.add_argument("--dense-limit", type=int, default=10000,
-                         help="largest domain count the dense backend "
-                              "still runs at (default: 10000)")
-    domains.add_argument("--seed", type=int, default=0)
-    domains.add_argument("--out", default=None,
-                         help="benchmark journal path "
-                              "(default: BENCH_domains.json; '-' to skip)")
-    domains.add_argument("--verbose", action="store_true")
-
-    data = commands.add_parser(
-        "data-bench",
-        help="columnar data-plane sweep: write a synthetic multi-domain "
-             "event file per size point, map it in O(1) and stream one "
-             "full epoch, recording throughput and live peak RSS",
-    )
-    data.add_argument("--event-counts", type=_seeds,
-                      default=(1_000_000, 100_000_000),
-                      help="comma-separated event counts "
-                           "(default: 1000000,100000000)")
-    data.add_argument("--batch-size", type=int, default=65536,
-                      help="epoch iteration batch size (default: 65536)")
-    data.add_argument("--release-every-rows", type=int, default=1 << 20,
-                      help="rows between madvise page releases "
-                           "(default: 1048576)")
-    data.add_argument("--workdir", default=".",
-                      help="directory for the generated files (default: .)")
-    data.add_argument("--seed", type=int, default=0)
-    data.add_argument("--out", default=None,
-                      help="benchmark journal path "
-                           "(default: BENCH_data.json; '-' to skip)")
-    data.add_argument("--verbose", action="store_true")
-
     online = commands.add_parser(
         "online-sim",
         help="run the continual-learning pipeline on a drifted event "
              "stream: ingest, incremental DN/DR updates, gated snapshot "
              "publication with rollback, serving parity audit",
     )
-    online.add_argument("--seed", type=int, default=0)
+    online.add_argument("--seed", type=int, default=None,
+                        help="simulation seed (default: the config's, "
+                             "else 0)")
     online.add_argument("--windows", type=int, default=None,
                         help="number of stream micro-epochs")
     online.add_argument("--window-events", type=int, default=None,
@@ -233,9 +140,6 @@ def build_parser():
     online.add_argument("--config", default=None,
                         help="optional SessionConfig JSON file; its "
                              "'online' section configures the pipeline")
-    online.add_argument("--out", default=None,
-                        help="benchmark journal path "
-                             "(default: BENCH_online.json; '-' to skip)")
     online.add_argument("--verbose", action="store_true")
 
     analyze = commands.add_parser(
@@ -281,114 +185,6 @@ def _run_train(args):
     return 0
 
 
-def _session_config(args):
-    """The ``--config`` session file, or ``None`` when not given."""
-    if args.config is None:
-        return None
-    from .train import SessionConfig
-
-    return SessionConfig.from_file(args.config)
-
-
-def _journal(write, record, out):
-    """Merge ``record`` into the bench's journal (its default path when
-    ``--out`` is not given) unless ``--out -``."""
-    if out == "-":
-        return
-    path = write(record) if out is None else write(record, out)
-    print(f"results appended to {path}")
-
-
-def _run_serve_bench(args):
-    from .serving.bench import (
-        render_serve_bench,
-        run_serve_bench,
-        write_bench_record,
-    )
-
-    session = _session_config(args)
-    record = run_serve_bench(
-        batch_sizes=args.batch_sizes, n_requests=args.requests,
-        seed=args.seed, epochs=args.epochs, verbose=args.verbose,
-        session=session,
-    )
-    print(render_serve_bench(record))
-    _journal(write_bench_record, record, args.out)
-    if not all(entry["parity"] for entry in record["settings"].values()):
-        print("serving/offline parity FAILED", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_traffic_bench(args):
-    from .traffic.loadbench import (
-        render_traffic_bench,
-        run_traffic_bench,
-        write_traffic_record,
-    )
-
-    session = _session_config(args)
-    record = run_traffic_bench(
-        worker_counts=args.workers, n_requests=args.requests,
-        max_batch=args.max_batch, seed=args.seed, epochs=args.epochs,
-        session=session,
-    )
-    print(render_traffic_bench(record))
-    _journal(write_traffic_record, record, args.out)
-    failed = record["parity"]["ok"] is False
-    overload = record["overload"]
-    if overload is not None and not (
-        overload["deterministic"] and overload["within_slo"]
-        and overload["conserved"]
-    ):
-        failed = True
-    if failed:
-        print("traffic-bench acceptance FAILED", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_domains_bench(args):
-    from .core.domains_bench import (
-        render_domains_bench,
-        run_domains_bench,
-        write_bench_record,
-    )
-
-    record = run_domains_bench(
-        domain_counts=args.domain_counts, clusters=args.clusters,
-        dense_limit=args.dense_limit, seed=args.seed, verbose=args.verbose,
-    )
-    print(render_domains_bench(record))
-    _journal(write_bench_record, record, args.out)
-    if not all(cell["serve_parity"] for cell in record["cells"]):
-        print("serving/offline parity FAILED", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_data_bench(args):
-    from .data.databench import (
-        check_data_bench,
-        render_data_bench,
-        run_data_bench,
-        write_bench_record,
-    )
-
-    record = run_data_bench(
-        event_counts=args.event_counts, batch_size=args.batch_size,
-        release_every_rows=args.release_every_rows, workdir=args.workdir,
-        seed=args.seed, verbose=args.verbose,
-    )
-    print(render_data_bench(record))
-    _journal(write_bench_record, record, args.out)
-    verdict = check_data_bench(record)
-    if not verdict["ok"]:
-        print("data-bench acceptance FAILED", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _run_online_sim(args):
     from dataclasses import replace
 
@@ -397,14 +193,15 @@ def _run_online_sim(args):
         build_sim_config,
         render_online_sim,
         run_online_sim,
-        write_bench_record,
     )
 
     if args.config is not None:
-        config = build_sim_config(_session_config(args))
+        from .train import SessionConfig
+
+        config = build_sim_config(SessionConfig.from_file(args.config))
     else:
-        config = OnlineSimConfig(seed=args.seed)
-    if args.config is not None and args.seed != 0:
+        config = OnlineSimConfig()
+    if args.seed is not None:
         config = config.updated(seed=args.seed)
     stream_changes = {}
     if args.windows is not None:
@@ -428,7 +225,6 @@ def _run_online_sim(args):
         config = config.updated(backend=args.backend)
     results = run_online_sim(config, verbose=args.verbose)
     print(render_online_sim(results))
-    _journal(write_bench_record, results, args.out)
     if not results["parity"]["exact"]:
         print("serving/offline parity FAILED", file=sys.stderr)
         return 1
@@ -461,14 +257,6 @@ def main(argv=None):
         return 0
     if args.command == "train":
         return _run_train(args)
-    if args.command == "serve-bench":
-        return _run_serve_bench(args)
-    if args.command == "traffic-bench":
-        return _run_traffic_bench(args)
-    if args.command == "domains-bench":
-        return _run_domains_bench(args)
-    if args.command == "data-bench":
-        return _run_data_bench(args)
     if args.command == "online-sim":
         return _run_online_sim(args)
     if args.command == "analyze":

@@ -6,8 +6,10 @@ rollback + quarantine, and drift monitoring:
 
     stream → trainer → gate/publisher → snapshot store → serving
 
-See ``python -m repro.cli online-sim`` for the end-to-end demo and
-DESIGN.md §11 for the architecture.
+See ``python -m repro.cli online-sim`` for the end-to-end demo (the
+prequential incremental-vs-frozen AUC), DESIGN.md §11 for the
+architecture, and the ``online_loop`` workload of ``benchmarks/e2e`` for
+its measured throughput and latency.
 """
 
 from .drift import DriftMonitor, population_stability_index
@@ -18,7 +20,6 @@ from .sim import (
     build_sim_config,
     render_online_sim,
     run_online_sim,
-    write_bench_record,
 )
 from .stream import EventStream, StreamConfig, StreamWindow
 from .trainer import (
@@ -42,7 +43,6 @@ __all__ = [
     "build_sim_config",
     "run_online_sim",
     "render_online_sim",
-    "write_bench_record",
     "EventStream",
     "StreamConfig",
     "StreamWindow",

@@ -4,7 +4,7 @@ Serving health in a continual pipeline hinges on noticing *when* the
 world moved, not just reacting after AUC collapses.  Two complementary
 signals are tracked per stream window and emitted through
 :mod:`repro.utils.profiling` (so any active profile — the online-sim
-bench, the chaos harness — collects them for free):
+run, the chaos harness — collects them for free):
 
 * **Population stability index** (PSI), the standard industry drift
   score: ``PSI = Σ (p_cur - p_ref) ln(p_cur / p_ref)`` over a binned

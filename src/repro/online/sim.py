@@ -25,7 +25,6 @@ has rotated away from day 0.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -36,7 +35,6 @@ from ..serving.service import ServingService
 from ..serving.snapshots import SnapshotStore
 from ..train.session import ConfigError, _coerce
 from ..utils import profiling
-from ..utils.journal import update_journal
 from ..utils.seeding import spawn_rng
 from .drift import DriftMonitor
 from .gate import GateConfig, ValidationGate
@@ -45,9 +43,7 @@ from .stream import EventStream, StreamConfig
 from .trainer import IncrementalTrainer
 
 __all__ = ["OnlineSimConfig", "build_sim_config", "run_online_sim",
-           "render_online_sim", "write_bench_record", "DEFAULT_BENCH_PATH"]
-
-DEFAULT_BENCH_PATH = "BENCH_online.json"
+           "render_online_sim"]
 
 
 def _online_train_config():
@@ -205,21 +201,14 @@ def run_online_sim(config=None, verbose=False, log=None):
     monitor = DriftMonitor(config.stream.n_items, seed=config.seed)
     service = ServingService(serve_model, store=store)
 
-    ingest_seconds = 0.0
-    update_seconds = []
-
     with profiling.profile() as prof:
         # ---- bootstrap -------------------------------------------------
-        tick = time.perf_counter()
         for index in range(config.bootstrap_windows):
             window = stream.window(index)
             monitor.observe(window)
             trainer.ingest(window)
-        ingest_seconds += time.perf_counter() - tick
         for round_index in range(config.bootstrap_updates):
-            tick = time.perf_counter()
             update = trainer.update(key=("bootstrap", round_index))
-            update_seconds.append(time.perf_counter() - tick)
         result = publisher.publish(
             update.states, update.default_state, trainer.holdouts,
             key=config.bootstrap_windows - 1,
@@ -244,12 +233,8 @@ def run_online_sim(config=None, verbose=False, log=None):
             staleness.append(index - 1 - served_key)
             drift_record = monitor.observe(window)
 
-            tick = time.perf_counter()
             trainer.ingest(window)
-            ingest_seconds += time.perf_counter() - tick
-            tick = time.perf_counter()
             update = trainer.update(key=index)
-            update_seconds.append(time.perf_counter() - tick)
 
             candidate = update.states
             injected = index == config.inject_regression_at
@@ -297,8 +282,6 @@ def run_online_sim(config=None, verbose=False, log=None):
             service, probe, stream, parity_states, config
         )
 
-    total_events = config.stream.n_windows * config.stream.window_events
-    update_stats = prof.ops.get("online.update")
     post = [r for r in window_records
             if r["window"] >= config.stream.n_windows // 2]
     results = {
@@ -312,21 +295,10 @@ def run_online_sim(config=None, verbose=False, log=None):
             "inject_regression_at": config.inject_regression_at,
         },
         "events": {
-            "total": total_events,
-            "ingest_seconds": ingest_seconds,
-            "events_per_sec": (
-                total_events / ingest_seconds if ingest_seconds > 0
-                else float("inf")
-            ),
+            "total": config.stream.n_windows * config.stream.window_events,
         },
-        "update_latency": {
-            "count": len(update_seconds),
-            "mean_s": float(np.mean(update_seconds)),
-            "p95_s": profiling.percentile(update_seconds, 0.95),
-            "profiled_mean_s": (
-                update_stats.mean_seconds if update_stats else None
-            ),
-        },
+        # one per bootstrap round plus one per steady-state window
+        "updates": config.bootstrap_updates + len(window_records),
         "staleness": {
             "mean_windows": float(np.mean(staleness)) if staleness else 0.0,
             "max_windows": int(max(staleness)) if staleness else 0,
@@ -412,11 +384,8 @@ def render_online_sim(results):
     lines = [
         table,
         "",
-        f"events: {results['events']['total']} "
-        f"({results['events']['events_per_sec']:.0f}/s ingested)",
-        f"updates: {results['update_latency']['count']} "
-        f"(mean {results['update_latency']['mean_s'] * 1e3:.0f} ms, "
-        f"p95 {results['update_latency']['p95_s'] * 1e3:.0f} ms)",
+        f"events: {results['events']['total']}, "
+        f"updates: {results['updates']}",
         f"publications: {pubs['accepted']} accepted "
         f"{pubs['rejected']} rejected; serving v{pubs['served_version']}",
         f"staleness: mean {results['staleness']['mean_windows']:.1f} "
@@ -430,32 +399,3 @@ def render_online_sim(results):
     ]
     return "\n".join(lines)
 
-
-def write_bench_record(results, path=DEFAULT_BENCH_PATH):
-    """Merge an online-sim record into the benchmark journal at ``path``."""
-    entry = {
-        "settings": results["settings"],
-        "events_per_sec": results["events"]["events_per_sec"],
-        "update_latency_mean_s": results["update_latency"]["mean_s"],
-        "update_latency_p95_s": results["update_latency"]["p95_s"],
-        "staleness_mean_windows": results["staleness"]["mean_windows"],
-        "publications_accepted": results["publications"]["accepted"],
-        "publications_rejected": results["publications"]["rejected"],
-        "served_version": results["publications"]["served_version"],
-        "post_drift_auc_incremental":
-            results["post_drift_auc"]["incremental"],
-        "post_drift_auc_frozen": results["post_drift_auc"]["frozen"],
-        "post_drift_auc_gain": results["post_drift_auc"]["gain"],
-        "parity_exact": results["parity"]["exact"],
-        "auc_over_time": [
-            {
-                "window": r["window"],
-                "drift": r["drift"],
-                "incremental_auc": r["incremental_auc"],
-                "frozen_auc": r["frozen_auc"],
-                "accepted": r["accepted"],
-            }
-            for r in results["auc_over_time"]
-        ],
-    }
-    return update_journal(path, "online_sim", lambda previous: entry)

@@ -10,9 +10,10 @@ The deployment layer between a trained
 * :mod:`repro.serving.batcher` — micro-batching of single-row requests
   into per-domain batches;
 * :mod:`repro.serving.service` — the Predictor/ServingService front door
-  with latency percentiles and QPS accounting;
-* :mod:`repro.serving.bench` — the ``serve-bench`` harness behind
-  ``python -m repro.cli serve-bench``.
+  with latency percentiles and QPS accounting.
+
+Serving throughput and latency are measured by the benchmark of record
+(``benchmarks/e2e``, lanes ``steady`` and ``churn``).
 """
 
 from .batcher import BatchingPolicy, MicroBatcher, PendingRequest

@@ -133,8 +133,8 @@ class MicroBatcher:
     def next_deadline(self):
         """Clock time at which the oldest queued request becomes overdue.
 
-        ``None`` when nothing is queued.  A clock-driven caller (the load
-        bench's open-loop dispatcher, a test harness) advances its clock
+        ``None`` when nothing is queued.  A clock-driven caller (an
+        open-loop dispatcher, a test harness) advances its clock
         to this instant and calls :meth:`poll` — the wait trigger then
         fires even if no request ever arrives again.
         """

@@ -246,8 +246,7 @@ class DtypeDriftRule(Rule):
         "those"
     )
     scopes = ("repro/nn/", "repro/serving/", "repro/online/",
-              "repro/traffic/", "repro/data/columnar",
-              "repro/data/databench")
+              "repro/traffic/", "repro/data/columnar")
 
     _BAD_DOTTED = frozenset({
         "np.float32", "np.float16", "np.single", "np.half",

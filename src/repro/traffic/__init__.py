@@ -1,7 +1,8 @@
 """``repro.traffic`` — production-traffic harness for the serving tier.
 
-PR 3 built the serving path and PR 5 the drifted stream it retrains on;
-this package asks what happens when *production traffic* hits that path:
+What happens when *production traffic* hits the serving path
+(:mod:`repro.serving`) and the drifted stream it retrains on
+(:mod:`repro.online`):
 
 * :mod:`repro.traffic.tracegen` — seeded, replayable traffic traces:
   Zipf domain mix, diurnal rate curves, Poisson/bursty arrivals, plus an
@@ -11,25 +12,20 @@ this package asks what happens when *production traffic* hits that path:
   with generation-tagged hot reload under load;
 * :mod:`repro.traffic.admission` — per-domain SLOs, bounded queues and
   load-shedding policies with conservation-checked accounting;
-* :mod:`repro.traffic.loadbench` — the ``traffic-bench`` harness behind
-  ``python -m repro.cli traffic-bench``: saturation knee, overload SLO
-  behavior, and pool/single-process bit-parity.
+* :mod:`repro.traffic.replay` — a seeded virtual open-loop replay
+  (saturation knee, overload shedding) and the pool/single-process
+  bit-parity check across a hot reload.
 """
 
 from .admission import AdmissionConfig, AdmissionController, DomainSLO
-from .loadbench import (
+from .pool import PoolError, PredictorPool, fork_available
+from .replay import (
     ServiceTimeModel,
-    calibrate_service_model,
     check_pool_parity,
     find_knee,
-    measure_pool_capacity,
-    render_traffic_bench,
-    run_traffic_bench,
     simulate_replay,
     sweep_saturation,
-    write_traffic_record,
 )
-from .pool import PoolError, PredictorPool, fork_available
 from .tracegen import Trace, TraceConfig, generate_trace, trace_from_stream
 
 __all__ = [
@@ -37,15 +33,10 @@ __all__ = [
     "AdmissionController",
     "DomainSLO",
     "ServiceTimeModel",
-    "calibrate_service_model",
     "check_pool_parity",
     "find_knee",
-    "measure_pool_capacity",
-    "render_traffic_bench",
-    "run_traffic_bench",
     "simulate_replay",
     "sweep_saturation",
-    "write_traffic_record",
     "PoolError",
     "PredictorPool",
     "fork_available",

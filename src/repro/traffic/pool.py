@@ -1,6 +1,6 @@
 """Multi-process predictor pool over one shared-memory snapshot.
 
-One Python process tops out around the serve-bench's single-process QPS;
+One Python process tops out at one core's worth of scoring QPS;
 "heavy traffic from millions of users" needs N scoring processes.  The
 pool forks ``n_workers`` children, each running the *unchanged*
 :class:`~repro.serving.service.Predictor` — the same row path, the same
@@ -10,7 +10,7 @@ segment (θ_S stored once, zero-delta domains aliasing it, exactly the COW
 structure of the in-process store) and mapped zero-copy, read-only by
 every worker.  Because the bytes and the code path are identical, pooled
 responses are bit-identical to the single-process serving path — the
-parity property PR 3 established survives the process boundary.
+serving tier's parity property survives the process boundary.
 
 Hot reload under load: :meth:`PredictorPool.publish` materializes the
 next generation's segment, then broadcasts a reload message through each
@@ -24,8 +24,8 @@ retired stays mapped as the single *spare* the next publish packs into.
 Transport is deliberately boring: one task pipe per worker (reloads need
 a broadcast), one shared result queue (its feeder thread keeps workers
 from blocking on a full pipe), numpy batches pickled across.  Per-batch
-IPC cost is amortized by micro-batching upstream — the load bench
-dispatches admission-controlled per-domain batches, not single rows.
+IPC cost is amortized by micro-batching upstream — callers dispatch
+admission-controlled per-domain batches, not single rows.
 """
 
 from __future__ import annotations

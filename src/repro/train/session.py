@@ -13,8 +13,8 @@ construction ritual:
 pick a dataset, a model, a framework *or* a distributed cluster setup,
 and call :meth:`Session.fit`.  The same JSON config file drives the
 ``python -m repro.cli train`` command, the fault-injection chaos harness
-and the serving benchmark, so an experiment is fully described by one
-artifact.
+and ``python -m repro.cli online-sim``, so an experiment is fully
+described by one artifact.
 
 A Session adds no training logic of its own — it mirrors the historical
 construction paths exactly, so results are byte-identical with driving

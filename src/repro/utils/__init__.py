@@ -1,10 +1,7 @@
-"""Shared utilities: seeding, table formatting, hot-path profiling and the
-benchmark journal writer."""
+"""Shared utilities: seeding, table formatting and hot-path profiling."""
 
 from . import profiling
-from .journal import update_journal
 from .seeding import spawn_rng, stable_seed
 from .tables import format_table
 
-__all__ = ["spawn_rng", "stable_seed", "format_table", "profiling",
-           "update_journal"]
+__all__ = ["spawn_rng", "stable_seed", "format_table", "profiling"]

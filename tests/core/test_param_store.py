@@ -22,6 +22,7 @@ from repro.core import (
     identity_plan,
     plan_clusters,
 )
+from repro.data import taobao_sim
 from repro.metrics import evaluate_bank
 from repro.models import build_model
 from repro.nn.state import (
@@ -178,6 +179,20 @@ def test_clustered_nbytes_scales_with_groups_not_domains(dataset):
     stats = two.stats()
     assert stats["backend"] == "ClusteredDomainStore"
     assert stats["populated_clusters"] == 2
+
+
+def test_clustered_store_is_a_fraction_of_dense_at_1000_domains():
+    """A sparse-tail 1 000-domain preset under 64 clusters: far fewer work
+    units and a delta plane that does not scale with n_domains."""
+    sparse = taobao_sim(1000, total_samples=12000, n_users=2000,
+                        n_items=1000, min_domain_samples=18)
+    state = build_model("mlp", sparse, seed=0).state_dict()
+    dense = DenseDomainStore(state, sparse.n_domains)
+    clustered = ClusteredDomainStore(
+        state, plan_clusters(sparse, n_clusters=64, seed=0, head_fraction=0.01),
+    )
+    assert len(clustered.groups()) < len(dense.groups()) / 4
+    assert clustered.nbytes() < dense.nbytes() / 4
 
 
 def test_space_rejects_mismatched_store(dataset):

@@ -2,16 +2,9 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.online import (
-    OnlineSimConfig,
-    render_online_sim,
-    run_online_sim,
-    write_bench_record,
-)
+from repro.online import OnlineSimConfig, render_online_sim, run_online_sim
 from repro.train import ConfigError
 
 pytestmark = [pytest.mark.online, pytest.mark.online_smoke]
@@ -69,29 +62,31 @@ def test_prequential_records_cover_steady_state(results):
 
 def test_throughput_and_staleness_are_recorded(results):
     assert results["events"]["total"] == 5 * 240
-    assert results["events"]["events_per_sec"] > 0
-    assert results["update_latency"]["count"] == 4   # 1 bootstrap + 3 steady
-    assert results["update_latency"]["p95_s"] >= results["update_latency"][
-        "mean_s"] * 0.5
+    assert results["updates"] == 4   # 1 bootstrap + 3 steady
     assert results["staleness"]["max_windows"] >= 0
 
 
-def test_render_and_bench_record_round_trip(results, tmp_path):
+def test_render_summarizes_the_run(results):
     rendered = render_online_sim(results)
     assert "Online continual-learning simulation" in rendered
+    assert "events: 1200, updates: 4" in rendered
     assert "serving parity: bit-exact" in rendered
-    path = write_bench_record(results, tmp_path / "BENCH_online.json")
-    payload = json.loads(path.read_text())
-    record = payload["benchmarks"]["online_sim"]
-    assert record["parity_exact"] is True
-    assert record["publications_rejected"] == 1
-    assert len(record["auc_over_time"]) == 3
-    # Re-writing merges rather than clobbering the journal.
-    payload["benchmarks"]["other"] = {"kept": True}
-    path.write_text(json.dumps(payload))
-    write_bench_record(results, path)
-    merged = json.loads(path.read_text())
-    assert merged["benchmarks"]["other"] == {"kept": True}
+
+
+def test_default_stream_incremental_beats_frozen_day0():
+    """The default drifted stream: the incremental model must beat the
+    frozen day-0 model once drift has rotated the world away."""
+    results = run_online_sim(OnlineSimConfig())
+    publications = results["publications"]
+    assert publications["accepted"] >= 3
+    assert publications["rejected"] == 1
+    post = results["post_drift_auc"]
+    assert post["gain"] > 0, (
+        f"incremental updates stopped paying off under drift: "
+        f"incremental {post['incremental']:.4f} vs frozen "
+        f"{post['frozen']:.4f}"
+    )
+    assert results["staleness"]["mean_windows"] <= 2.0
 
 
 def test_config_validation_uses_config_error():

@@ -49,10 +49,35 @@ def test_train_requires_config():
         parser.parse_args(["train"])
 
 
-def test_serve_bench_accepts_config():
+def test_online_sim_accepts_config():
     parser = build_parser()
-    args = parser.parse_args(["serve-bench", "--config", "session.json"])
+    args = parser.parse_args(["online-sim", "--config", "session.json"])
     assert args.config == "session.json"
+    assert args.seed is None
+
+
+@pytest.mark.parametrize("flags, seed", [([], 3), (["--seed", "0"], 0),
+                                         (["--seed", "5"], 5)],
+                         ids=["config-seed", "seed-0", "seed-5"])
+def test_online_sim_seed_flag_overrides_the_config(tmp_path, monkeypatch,
+                                                   flags, seed):
+    """``--seed 0`` is a seed like any other, not "unset"."""
+    import json
+
+    import repro.online.sim as sim
+
+    class Captured(Exception):
+        pass
+
+    def capture(config, verbose=False):
+        raise Captured(config)
+
+    monkeypatch.setattr(sim, "run_online_sim", capture)
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps({"seed": 3}))
+    with pytest.raises(Captured) as caught:
+        main(["online-sim", "--config", str(path), *flags])
+    assert caught.value.args[0].seed == seed
 
 
 def test_train_command_distributed(tmp_path, capsys):

@@ -1,14 +1,10 @@
-"""Utilities: seeding, table formatting and the benchmark journal."""
+"""Utilities: seeding and table formatting."""
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
-import pytest
 
-from repro.utils import format_table, spawn_rng, stable_seed, update_journal
-from repro.utils.journal import merge_cells
+from repro.utils import format_table, spawn_rng, stable_seed
 
 
 def test_stable_seed_deterministic_and_sensitive():
@@ -47,36 +43,3 @@ def test_format_table_empty_rows():
     text = format_table(["A", "B"], [])
     assert "A" in text and "B" in text
 
-
-def test_update_journal_merges_one_entry_and_keeps_the_rest(tmp_path):
-    path = tmp_path / "BENCH_x.json"
-    update_journal(path, "a", lambda entry: {"runs": 1})
-    update_journal(path, "b", lambda entry: {"cells": [1]})
-    update_journal(path, "a", lambda entry: {"runs": entry["runs"] + 1})
-    assert json.loads(path.read_text()) == {
-        "benchmarks": {"a": {"runs": 2}, "b": {"cells": [1]}}
-    }
-
-
-def test_merge_cells_refreshes_own_cells_and_keeps_the_curve(tmp_path):
-    path = tmp_path / "BENCH_x.json"
-    full = {"settings": {"run": "full"},
-            "cells": [{"n": 10, "s": 1.0}, {"n": 1000, "s": 9.0}]}
-    smoke = {"settings": {"run": "smoke"}, "cells": [{"n": 10, "s": 1.5}]}
-    for record in (full, smoke):
-        update_journal(path, "curve", merge_cells(record, lambda c: c["n"]))
-    assert json.loads(path.read_text())["benchmarks"]["curve"] == {
-        "settings": {"run": "smoke"},
-        "cells": [{"n": 10, "s": 1.5}, {"n": 1000, "s": 9.0}],
-    }
-
-
-def test_update_journal_refuses_to_replace_a_corrupt_journal(tmp_path):
-    """A truncated journal used to be silently replaced by an empty one,
-    losing every other bench's cells."""
-    path = tmp_path / "BENCH_x.json"
-    truncated = '{"benchmarks": {"other": {"cells": [1, 2'
-    path.write_text(truncated)
-    with pytest.raises(ValueError, match="BENCH_x.json"):
-        update_journal(path, "a", lambda entry: {"runs": 1})
-    assert path.read_text() == truncated

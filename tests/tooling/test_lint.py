@@ -123,17 +123,13 @@ class TestDtypeDrift:
         """, path="src/repro/nn/foo.py") == []
 
     def test_flags_downcast_in_columnar_data_plane(self):
-        # The columnar store and its bench are in scope: ad-hoc float32
-        # literals outside the sanctioned np.dtype(...) constants are
-        # exactly the silent-downcast drift the rule exists to stop.
-        source = """
+        # The columnar store is in scope: ad-hoc float32 literals outside
+        # the sanctioned np.dtype(...) constants are exactly the
+        # silent-downcast drift the rule exists to stop.
+        assert rules_fired("""
             import numpy as np
             x = np.zeros(3, dtype=np.float32)
-        """
-        assert rules_fired(
-            source, path="src/repro/data/columnar.py") == ["dtype-drift"]
-        assert rules_fired(
-            source, path="src/repro/data/databench.py") == ["dtype-drift"]
+        """, path="src/repro/data/columnar.py") == ["dtype-drift"]
 
     def test_sanctioned_dtype_constants_clean_in_columnar(self):
         # The single declaration points: positional np.dtype(np.float32)

@@ -1,4 +1,4 @@
-"""Shared-memory hygiene for the traffic tests.
+"""Shared-memory hygiene and the pool tests' training data.
 
 A segment that outlives its pool is reported only by the multiprocessing
 resource tracker — another process, at interpreter exit — so no test
@@ -11,7 +11,38 @@ from pathlib import Path
 
 import pytest
 
+from repro.data import DomainSpec, SyntheticConfig, generate_dataset
+from repro.utils.seeding import spawn_rng
+
 SHM_DIR = Path("/dev/shm")
+
+
+def make_serving_dataset(n_domains=5, seed=1):
+    """A heavy-tailed synthetic multi-domain dataset to train and serve."""
+    base_sizes = (900, 450, 220, 120, 70)
+    specs = tuple(
+        DomainSpec(
+            f"S{i}", base_sizes[i % len(base_sizes)], 0.25 + 0.04 * i
+        )
+        for i in range(n_domains)
+    )
+    return generate_dataset(SyntheticConfig(
+        name=f"serving_{n_domains}",
+        domains=specs,
+        n_users=400,
+        n_items=200,
+        latent_dim=8,
+        feature_mode="trainable",
+        feature_dim=10,
+        seed=seed,
+    ))
+
+
+def train_rng(seed, dataset):
+    """The RNG stream the pool tests train their parameter spaces under
+    (they publish from the *space* — θ_S + deltas — so copy-on-write
+    materialization has real shared structure to exploit)."""
+    return spawn_rng(seed, "pool-parity", "train", dataset.name)
 
 
 def shm_segments():

@@ -17,14 +17,22 @@ import pytest
 
 from repro.core import TrainConfig, train_space
 from repro.models import build_model
-from repro.serving.bench import bench_train_rng, make_serving_dataset
 from repro.serving.service import Predictor
 from repro.serving.snapshots import SnapshotStore
-from repro.traffic import PoolError, PredictorPool, fork_available
-from repro.traffic.loadbench import check_pool_parity
+from repro.traffic import (
+    PoolError,
+    PredictorPool,
+    check_pool_parity,
+    fork_available,
+)
 from repro.traffic.tracegen import TraceConfig, generate_trace
 
-from tests.traffic.conftest import SHM_DIR, shm_segments
+from tests.traffic.conftest import (
+    SHM_DIR,
+    make_serving_dataset,
+    shm_segments,
+    train_rng,
+)
 
 pytestmark = [
     pytest.mark.traffic,
@@ -51,11 +59,10 @@ def serving_setup():
     config = TrainConfig(
         epochs=1, batch_size=32, inner_steps=1, dr_steps=1, sample_k=1,
     )
-    space_a = train_space(model, dataset, config, bench_train_rng(0, dataset))
+    space_a = train_space(model, dataset, config, train_rng(0, dataset))
     # A genuinely different second space: without it, generation
     # attribution would be unprovable (any generation would "match").
-    space_b = train_space(model, dataset, config,
-                          bench_train_rng(101, dataset))
+    space_b = train_space(model, dataset, config, train_rng(101, dataset))
     store = SnapshotStore(keep=4)
     snapshot_a = store.publish(space_a)
     snapshot_b = store.publish(space_b)
