@@ -14,10 +14,10 @@ __all__ = ["train_steps", "make_inner_optimizer", "compute_loss_gradient"]
 def train_steps(model, table, domain, optimizer, rng, batch_size, max_steps):
     """Run up to ``max_steps`` minibatch updates of ``model`` on one domain.
 
-    Inside a :func:`repro.nn.compiled_execution` context, steps route
-    through the model's :class:`~repro.nn.StepExecutor` — first occurrence
-    of a batch signature traces eagerly, the rest replay the compiled tape.
-    Otherwise each batch takes one :func:`repro.nn.compile.eager_step`.
+    Steps route through the model's :class:`~repro.nn.StepExecutor` — the
+    first occurrence of a batch signature traces eagerly, the rest replay
+    the compiled tape.  Inside :func:`repro.nn.eager_execution` (or a
+    sanitizer mode) each batch takes one :func:`repro.nn.compile.eager_step`.
 
     Returns the mean training loss over the executed steps (0.0 when the
     table is empty).

@@ -10,7 +10,7 @@ from . import functional
 from .compile import (
     StepExecutor,
     compilation_enabled,
-    compiled_execution,
+    eager_execution,
     eager_step,
     executor_for,
     active_executor,
@@ -101,7 +101,7 @@ __all__ = [
     "use_sparse_grads",
     "sparse_grads_enabled",
     "StepExecutor",
-    "compiled_execution",
+    "eager_execution",
     "compilation_enabled",
     "executor_for",
     "active_executor",

@@ -17,22 +17,35 @@ This module removes it with a trace-once / replay-many executor:
   context to regenerate them.
 * **Compile** — the recorded graph is flattened into a :class:`Tape`: a
   preallocated forward schedule that recomputes every node's buffer
-  *in place*, a backward schedule that invokes the original recorded VJP
-  closures in exactly the order ``Tensor.backward`` would have used, and a
-  fused optimizer schedule.  Because the closures captured the very buffers
-  the forward schedule rewrites, replay is **bitwise identical** to eager
-  execution (asserted per-primitive by the sanitizer's
+  *in place* and a backward schedule that invokes the original recorded
+  VJP closures in exactly the order ``Tensor.backward`` would have used.
+  Because the closures captured the very buffers the forward schedule
+  rewrites, replay is **bitwise identical** to eager execution (asserted
+  per-primitive by the sanitizer's
   :func:`repro.tooling.sanitizer.replay_verify` mode).
 * **Replay** — subsequent steps with the same signature execute the flat
-  schedules: no ``Tensor`` allocation, no per-op dispatch, no toposort.
+  schedules: no ``Tensor`` allocation, no per-op dispatch, no toposort —
+  then call the optimizer's own ``step()``.
+
+Compiled replay is the training engine: ``train_steps`` (every DN/DR
+caller, ``Session.fit``, ``IncrementalTrainer.update``) and the cluster
+``Worker`` step through :func:`active_executor`.  :func:`eager_execution`
+is the one switch back to eager steps — the oracle replay is compared
+against, and what parity tests run on the other side.
 
 Guards and fallback: a step's signature is the batch field shapes/dtypes
 plus ``batch.domain`` (for multi-domain models), the train/eval flag and
-the sparse-grad toggle.  A new signature triggers a fresh trace (which *is*
-a correct eager step); an untraceable step (unknown primitive, exotic
-buffer aliasing, non-owned input arrays) falls back to eager permanently
-for that signature.  The sanitizer's ``sanitize()`` / ``anomaly_mode()``
-disable compiled execution entirely — those tools need real graphs.
+the sparse-grad toggle; narrow columnar dtypes (uint32 ids, float32
+labels) are widened exactly first, so they share a tape with int64/float64
+batches.  A new signature triggers a fresh trace (which *is* a correct
+eager step); an untraceable step (unknown primitive, exotic buffer
+aliasing, non-owned input arrays) falls back to eager permanently for that
+signature.  The sanitizer's ``sanitize()`` / ``anomaly_mode()`` disable
+compiled execution entirely — those tools need real graphs.
+
+Lifetimes are refcount-only: the model owns its executor, the executor
+holds its model weakly and tapes hold parameters, never the model, so a
+dropped model frees its tapes without the cyclic collector.
 
 RNG capture: dropout masks are regenerated on replay from the *same*
 ``numpy.random.Generator`` objects the eager step would have drawn from, so
@@ -43,6 +56,8 @@ from __future__ import annotations
 
 import contextlib
 import copy as _copylib
+import dataclasses
+import weakref
 from contextvars import ContextVar
 
 import numpy as np
@@ -51,13 +66,12 @@ from ..tooling import sanitizer as _sanitizer
 from ..utils import profiling
 from . import _tracing
 from .module import Parameter
-from .optim import SGD, Adam
 from .sparse import SparseGrad, accumulate_grad, sparse_grads_enabled
 from .tensor import _stable_sigmoid
 
 __all__ = [
     "CompileBail",
-    "compiled_execution",
+    "eager_execution",
     "compilation_enabled",
     "StepExecutor",
     "Tape",
@@ -71,15 +85,15 @@ __all__ = [
 # Enablement
 # ----------------------------------------------------------------------
 
-# ContextVar (not a module global) so nested enable/disable blocks restore
-# correctly under exceptions and cannot leak across threads/tasks.
-_COMPILED = ContextVar("repro_compiled_execution", default=False)
+# ContextVar (not a module global) so nested blocks restore correctly
+# under exceptions and cannot leak across threads/tasks.
+_COMPILED = ContextVar("repro_compiled_execution", default=True)
 
 
 @contextlib.contextmanager
-def compiled_execution(enabled=True):
-    """Enable (or explicitly disable) compiled step execution within."""
-    token = _COMPILED.set(bool(enabled))
+def eager_execution():
+    """Run every train step eagerly within (compiled replay is the default)."""
+    token = _COMPILED.set(False)
     try:
         yield
     finally:
@@ -201,11 +215,10 @@ def _grads_equal(a, b):
 class _TapeBuilder:
     """Turns one tracer record stream into a :class:`Tape`."""
 
-    def __init__(self, tracer, loss, batch, model, all_params):
+    def __init__(self, tracer, loss, batch, all_params):
         self.records = tracer.records
         self.loss = loss
         self.batch = batch
-        self.model = model
         self.all_params = all_params
         self.env = []
         self.slot = {}          # id(tensor) -> env index
@@ -960,162 +973,11 @@ _FWD_KERNELS = {
 
 
 # ----------------------------------------------------------------------
-# Fused optimizer schedules
-# ----------------------------------------------------------------------
-
-def _flat_adam_kernel(opt, items):
-    """All dense-gradient Adam parameters updated as ONE flat buffer.
-
-    Adam's dense update is purely elementwise, so running each ufunc once
-    over the concatenation of every parameter computes bit-identical values
-    to running it per parameter — while collapsing ~13 ufunc dispatches per
-    parameter into 13 total.  The optimizer's per-param moment slots are
-    rebound to *views* of the flat buffers, so interleaved eager
-    ``Optimizer.step`` calls (and state serialization) keep working on the
-    same storage.
-    """
-    sizes = [param.data.size for _, param in items]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    total = int(offsets[-1])
-    flat_m = np.empty(total)
-    flat_v = np.empty(total)
-    flat_g = np.empty(total)
-    t1 = np.empty(total)
-    t2 = np.empty(total)
-    grad_views, delta_views = [], []
-    for (index, param), off, size in zip(items, offsets, sizes):
-        m, v = opt._slots(index, param)
-        seg_m = flat_m[off:off + size].reshape(param.data.shape)
-        seg_v = flat_v[off:off + size].reshape(param.data.shape)
-        np.copyto(seg_m, m)
-        np.copyto(seg_v, v)
-        opt._m[index] = seg_m
-        opt._v[index] = seg_v
-        grad_views.append(flat_g[off:off + size].reshape(param.data.shape))
-        # t1 holds the final per-element update after the ufunc chain below.
-        delta_views.append(t1[off:off + size].reshape(param.data.shape))
-    anchor_index = items[0][0]
-    anchor_m = opt._m[anchor_index]
-    # Hyperparameters are fixed at schedule-build time (eager Adam treats
-    # them as constants too); only the step counter ``_t`` is read live.
-    beta1, beta2, lr, eps = opt.beta1, opt.beta2, opt.lr, opt.eps
-    one_minus_b1, one_minus_b2 = 1.0 - beta1, 1.0 - beta2
-    grad_pairs = [(param, view) for (_, param), view in zip(items, grad_views)]
-    delta_pairs = [(param, view) for (_, param), view in zip(items, delta_views)]
-
-    def valid():
-        # reset_state() (or a slot reload) rebinds the moment dicts away
-        # from the flat views; the schedule must then be rebuilt.
-        return opt._m.get(anchor_index) is anchor_m
-
-    def run():
-        for param, view in grad_pairs:
-            np.copyto(view, param.grad)
-        np.multiply(flat_m, beta1, out=flat_m)
-        np.multiply(flat_g, one_minus_b1, out=t1)
-        np.add(flat_m, t1, out=flat_m)
-        np.multiply(flat_v, beta2, out=flat_v)
-        np.square(flat_g, out=t1)
-        np.multiply(t1, one_minus_b2, out=t1)
-        np.add(flat_v, t1, out=flat_v)
-        t = opt._t
-        np.divide(flat_m, 1.0 - beta1 ** t, out=t1)
-        np.divide(flat_v, 1.0 - beta2 ** t, out=t2)
-        np.sqrt(t2, out=t2)
-        np.add(t2, eps, out=t2)
-        np.multiply(t1, lr, out=t1)
-        np.divide(t1, t2, out=t1)
-        for param, view in delta_pairs:
-            np.subtract(param.data, view, out=param.data)
-            param._version += 1
-
-    return run, valid
-
-
-def _sgd_dense_kernel(opt, index, param):
-    """Plain dense SGD (no momentum/decay), fused."""
-    t1 = np.empty_like(param.data)
-
-    def run():
-        np.multiply(param.grad, opt.lr, out=t1)
-        data = param.data
-        np.subtract(data, t1, out=data)
-        param._version += 1
-
-    return run
-
-
-def _generic_kernel(opt, index, param):
-    """Fallback: the optimizer's own per-param update (always correct)."""
-
-    def run():
-        opt._update(index, param)
-        param._version += 1
-
-    return run
-
-
-class _OptimizerSchedule:
-    """A compiled ``Optimizer.step`` for one (tape, optimizer) pair."""
-
-    __slots__ = ("kernels", "_checks")
-
-    def __init__(self, kernels, checks):
-        self.kernels = kernels
-        self._checks = checks
-
-    def valid(self):
-        return all(check() for check in self._checks)
-
-    def run(self):
-        for kernel in self.kernels:
-            kernel()
-
-
-def _compile_optimizer_schedule(optimizer, leaf_param_ids):
-    """Flat per-step closures replicating ``Optimizer.step`` exactly.
-
-    Only parameters that are gradient leaves of this tape appear (the rest
-    would be skipped by the eager ``param.grad is None`` check anyway).
-    Called after a backward pass, so each leaf's gradient — and therefore
-    its dense-vs-sparse update path, which is static per tape — is known.
-    """
-    kernels = []
-    checks = []
-    if isinstance(optimizer, Adam):
-        def bump_t(opt=optimizer):
-            opt._t += 1
-
-        kernels.append(bump_t)
-    plain_sgd = (
-        isinstance(optimizer, SGD)
-        and not optimizer.momentum
-        and not optimizer.weight_decay
-    )
-    flat_adam_items = []
-    for index, param in enumerate(optimizer.params):
-        if id(param) not in leaf_param_ids:
-            continue
-        dense = not isinstance(param.grad, SparseGrad)
-        if dense and isinstance(optimizer, Adam):
-            flat_adam_items.append((index, param))
-        elif dense and plain_sgd:
-            kernels.append(_sgd_dense_kernel(optimizer, index, param))
-        else:
-            kernels.append(_generic_kernel(optimizer, index, param))
-    if flat_adam_items:
-        run, valid = _flat_adam_kernel(optimizer, flat_adam_items)
-        kernels.append(run)
-        checks.append(valid)
-    return _OptimizerSchedule(kernels, checks)
-
-
-# ----------------------------------------------------------------------
 # Tape
 # ----------------------------------------------------------------------
 
 class Tape:
-    """A compiled training step: flat forward/backward/optimizer schedules."""
+    """A compiled training step: flat forward and backward schedules."""
 
     def __init__(self, env, param_slots, staging, forward, forward_kinds,
                  backward, backward_kinds, leaf_cells, ncells, seed,
@@ -1129,7 +991,6 @@ class Tape:
         self._backward = backward
         self._backward_kinds = backward_kinds
         self._leaf_cells = leaf_cells
-        self._leaf_param_ids = frozenset(id(p) for p, _ in leaf_cells)
         self._ncells = ncells
         self._seed = seed
         self._loss_buf = loss_buf
@@ -1187,32 +1048,10 @@ class Tape:
             leaf.grad = cells[ci]
         return cells
 
-    def _apply_optimizer(self, optimizer):
-        start = profiling.tick()
-        # The schedule belongs to the optimizer, not to the tape: it rebinds
-        # the optimizer's moment slots to its own flat buffers, so two tapes
-        # each holding their own schedule for one optimizer would invalidate
-        # each other on every signature switch and recompile per step.  The
-        # entry is ``(leaf_param_ids, schedule)`` — the leaf set it was
-        # compiled against, shared by every tape of the same model — and is
-        # collected with its optimizer (DR creates one per helper pass).
-        entry = getattr(optimizer, "_compiled_schedule", None)
-        if (
-            entry is None
-            or entry[0] != self._leaf_param_ids
-            or not entry[1].valid()
-        ):
-            schedule = _compile_optimizer_schedule(optimizer, self._leaf_param_ids)
-            optimizer._compiled_schedule = (self._leaf_param_ids, schedule)
-        else:
-            schedule = entry[1]
-        schedule.run()
-        profiling.tock("optim.step", start)
-
     def replay(self, batch, optimizer):
         """One full training step as a flat replay; returns the loss."""
         self._run(batch)
-        self._apply_optimizer(optimizer)
+        optimizer.step()
         return float(self._loss_buf)
 
     # -- verification ---------------------------------------------------
@@ -1268,7 +1107,7 @@ class Tape:
                     f"replayed gradient for leaf of shape {leaf.shape} is not "
                     "bitwise equal to the eager gradient"
                 )
-        self._apply_optimizer(optimizer)
+        optimizer.step()
         return loss.item()
 
 
@@ -1308,12 +1147,31 @@ def eager_step(model, batch, optimizer):
 _MISSING = object()
 
 
+def _widened(batch):
+    """``batch`` with narrow columnar dtypes cast to int64 ids / float64 labels.
+
+    The columnar plane stores ids as uint32 and labels as float32; the ops
+    widen them anyway (``F.embedding``'s int64 ``asarray``, ``Tensor``'s
+    float64), but into fresh arrays the tape builder cannot stage.  Safe
+    casts are exact, so the widened batch computes the same bits.
+    """
+    wide = {}
+    for field, dtype in zip(_INPUT_FIELDS, (np.int64, np.int64, np.float64)):
+        array = getattr(batch, field)
+        if array.dtype != dtype and np.can_cast(array.dtype, dtype):
+            wide[field] = array.astype(dtype)
+    return dataclasses.replace(batch, **wide) if wide else batch
+
+
 class StepExecutor:
     """Per-model cache of compiled tapes, keyed by step signature.
 
-    The optimizer is *not* part of the key: it is passed per call and gets
-    its own lazily compiled schedule on each tape, because DR creates a
-    fresh inner optimizer for every helper pass over the same graph.
+    The optimizer is *not* part of the key: it is passed per call and its
+    own ``step()`` runs after each replay, because DR creates a fresh inner
+    optimizer for every helper pass over the same graph.  The model is held
+    weakly — it owns this executor (:func:`executor_for`), and a strong
+    back-edge would make every model, its tapes and their buffers a cycle
+    that only the cyclic collector frees.
     """
 
     #: signature-cache bound: past this, unseen signatures run eagerly
@@ -1321,44 +1179,46 @@ class StepExecutor:
     max_tapes = 32
 
     def __init__(self, model):
-        self.model = model
+        self._model = weakref.ref(model)
         self._params = list(model.parameters())
         self._tapes = {}
         self.traces = 0
         self.replays = 0
         self.eager_steps = 0
 
-    def _signature(self, batch):
+    def _signature(self, model, batch):
         return (
             batch.users.shape, batch.users.dtype.str,
             batch.items.shape, batch.items.dtype.str,
             batch.labels.shape, batch.labels.dtype.str,
-            batch.domain if getattr(self.model, "multi_domain", True) else None,
-            self.model.training,
+            batch.domain if getattr(model, "multi_domain", True) else None,
+            model.training,
             sparse_grads_enabled(),
         )
 
     def step(self, batch, optimizer):
         """Run one training step, compiled when possible; returns the loss."""
+        model = self._model()
         if _sanitizer._ACTIVE or _tracing.TRACER is not None:
             self.eager_steps += 1
-            return eager_step(self.model, batch, optimizer)
-        signature = self._signature(batch)
+            return eager_step(model, batch, optimizer)
+        batch = _widened(batch)
+        signature = self._signature(model, batch)
         tape = self._tapes.get(signature, _MISSING)
         if tape is _MISSING:
             if len(self._tapes) >= self.max_tapes:
                 self.eager_steps += 1
-                return eager_step(self.model, batch, optimizer)
-            tape, loss_value = self._trace_step(batch, optimizer)
+                return eager_step(model, batch, optimizer)
+            tape, loss_value = self._trace_step(model, batch, optimizer)
             self._tapes[signature] = tape
             return loss_value
         if tape is None:
             self.eager_steps += 1
-            return eager_step(self.model, batch, optimizer)
+            return eager_step(model, batch, optimizer)
         self.replays += 1
         if _sanitizer._REPLAY_VERIFY:
             if _sanitizer._REPLAY_VERIFY_STRICT or tape.verify_mode != "static":
-                return tape.replay_verified(batch, optimizer, self.model)
+                return tape.replay_verified(batch, optimizer, model)
             # Statically certified: the analyzer proved shape/dtype/aliasing
             # safety for every kernel, so skip the eager re-run.
             profiling.count("verify.static_skip")
@@ -1372,28 +1232,28 @@ class StepExecutor:
         advance), so callers that only want the tape must snapshot and
         restore around it.  Returns ``None`` for eager-only signatures.
         """
-        signature = self._signature(batch)
+        model = self._model()
+        batch = _widened(batch)
+        signature = self._signature(model, batch)
         if signature not in self._tapes:
             if len(self._tapes) >= self.max_tapes:
                 return None
-            tape, _ = self._trace_step(batch, optimizer)
+            tape, _ = self._trace_step(model, batch, optimizer)
             self._tapes[signature] = tape
         return self._tapes[signature]
 
-    def _trace_step(self, batch, optimizer):
+    def _trace_step(self, model, batch, optimizer):
         tracer = _Tracer()
         _tracing.TRACER = tracer
         try:
-            loss = self.model.loss(batch)
-            self.model.zero_grad()
+            loss = model.loss(batch)
+            model.zero_grad()
             loss.backward()
         finally:
             _tracing.TRACER = None
         optimizer.step()
         try:
-            tape = _TapeBuilder(
-                tracer, loss, batch, self.model, self._params
-            ).build()
+            tape = _TapeBuilder(tracer, loss, batch, self._params).build()
             self.traces += 1
             profiling.count("compile.trace")
         except CompileBail:
@@ -1420,7 +1280,8 @@ def executor_for(model):
 
 
 def active_executor(model):
-    """``executor_for(model)`` when compiled execution is on, else ``None``."""
+    """``executor_for(model)``, or ``None`` under :func:`eager_execution`
+    or a sanitizer mode."""
     if not compilation_enabled():
         return None
     return executor_for(model)

@@ -235,9 +235,11 @@ def fused_dense(x, weight, bias=None, activation="linear"):
             gz = g * (1.0 - out ** 2)
         else:
             gz = g
+        # An input that needs no gradient (a fixed-feature projection)
+        # skips its matmul.
         grad_x = unbroadcast(
             np.matmul(gz, np.swapaxes(weight.data, -1, -2)), x.shape
-        )
+        ) if x.requires_grad else None
         grad_w = unbroadcast(
             np.matmul(np.swapaxes(x.data, -1, -2), gz), weight.shape
         )
@@ -288,13 +290,14 @@ def bce_with_logits(logits, labels, sample_weight=None):
         start = profiling.tick()
         scale = g / count
         base = _stable_sigmoid(x) - y
+        # Labels are data: their gradient is computed only when asked for.
         if sw is None:
             grad_logits = unbroadcast(
                 np.broadcast_to(scale * base, weighted.shape), logits.shape
             )
             grad_labels = unbroadcast(
                 np.broadcast_to(scale * (-x), weighted.shape), labels.shape
-            )
+            ) if labels.requires_grad else None
             grads = (grad_logits, grad_labels)
         else:
             grad_logits = unbroadcast(
@@ -304,7 +307,7 @@ def bce_with_logits(logits, labels, sample_weight=None):
             grad_labels = unbroadcast(
                 np.broadcast_to(scale * (-x) * sw.data, weighted.shape),
                 labels.shape,
-            )
+            ) if labels.requires_grad else None
             grad_weight = unbroadcast(
                 np.broadcast_to(scale * per_sample, weighted.shape), sw.shape
             )

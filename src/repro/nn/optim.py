@@ -129,8 +129,50 @@ class SGD(Optimizer):
         self._velocity.clear()
 
 
+class _FlatMoments:
+    """Adam's dense state for one set of parameters, as contiguous buffers.
+
+    The optimizer's per-parameter ``_m`` / ``_v`` slots are rebound to
+    views of ``m`` / ``v``, so :meth:`Optimizer.state_slots` and the sparse
+    path keep reading and writing the same storage.
+    """
+
+    __slots__ = ("indices", "params", "m", "v", "g", "t1", "t2",
+                 "grad_views", "update_views")
+
+    def __init__(self, opt, indices):
+        self.indices = indices
+        self.params = [opt.params[index] for index in indices]
+        total = sum(param.data.size for param in self.params)
+        self.m = np.zeros(total)
+        self.v = np.zeros(total)
+        self.g = np.empty(total)
+        self.t1 = np.empty(total)   # ends each step holding the update
+        self.t2 = np.empty(total)
+        self.grad_views, self.update_views = [], []
+        offset = 0
+        for index, param in zip(indices, self.params):
+            shape = param.data.shape
+            segment = slice(offset, offset + param.data.size)
+            offset = segment.stop
+            m = self.m[segment].reshape(shape)
+            v = self.v[segment].reshape(shape)
+            if index in opt._m:
+                np.copyto(m, opt._m[index])
+                np.copyto(v, opt._v[index])
+            opt._m[index], opt._v[index] = m, v
+            self.grad_views.append(self.g[segment].reshape(shape))
+            self.update_views.append(self.t1[segment].reshape(shape))
+
+
 class Adam(Optimizer):
     """Adam (Kingma & Ba) — the optimizer used for the public benchmarks.
+
+    Dense gradients are updated as one flat buffer: Adam's dense update is
+    elementwise, so running each ufunc once over the concatenation of every
+    dense-gradient parameter is bit-identical to the per-parameter formula
+    and costs a dozen ufunc dispatches per step instead of a dozen per
+    parameter.
 
     Sparse gradients take a lazy row-wise path: moments of untouched rows
     are left stale and caught up with a ``beta**skipped`` decay the next
@@ -147,12 +189,26 @@ class Adam(Optimizer):
         self._v = {}
         self._last_step = {}
         self._t = 0
+        self._flat = None
 
     _slot_attrs = ("_m", "_v", "_last_step")
 
     def step(self):
+        start = profiling.tick()
         self._t += 1
-        super().step()
+        dense = []
+        for index, param in enumerate(self.params):
+            grad = param.grad
+            if grad is None:
+                continue
+            if isinstance(grad, SparseGrad):
+                self._update_sparse(index, param, grad)
+            else:
+                dense.append(index)
+            param._version += 1
+        if dense:
+            self._update_dense(tuple(dense))
+        profiling.tock("optim.step", start)
 
     def state_slots(self):
         slots = super().state_slots()
@@ -162,6 +218,7 @@ class Adam(Optimizer):
     def load_state_slots(self, slots):
         super().load_state_slots(slots)
         self._t = int(slots.get("_t", 0))
+        self._flat = None
 
     def _slots(self, index, param):
         m = self._m.get(index)
@@ -170,19 +227,34 @@ class Adam(Optimizer):
             self._v[index] = np.zeros_like(param.data)
         return m, self._v[index]
 
-    def _update(self, index, param):
-        grad = param.grad
-        if isinstance(grad, SparseGrad):
-            self._update_sparse(index, param, grad)
-            return
-        m, v = self._slots(index, param)
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad ** 2
-        m_hat = m / (1.0 - self.beta1 ** self._t)
-        v_hat = v / (1.0 - self.beta2 ** self._t)
-        param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+    def _update_dense(self, indices):
+        flat = self._flat
+        if flat is None or flat.indices != indices:
+            # A new set of dense-gradient parameters: move its moments into
+            # fresh flat buffers (the previous set's views stay valid).
+            flat = self._flat = _FlatMoments(self, indices)
+        m, v, g, t1, t2 = flat.m, flat.v, flat.g, flat.t1, flat.t2
+        for param, view in zip(flat.params, flat.grad_views):
+            np.copyto(view, param.grad)
+        # Ufunc for ufunc the per-parameter expressions
+        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
+        #   data -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
+        beta1, beta2 = self.beta1, self.beta2
+        np.multiply(m, beta1, out=m)
+        np.multiply(g, 1.0 - beta1, out=t1)
+        np.add(m, t1, out=m)
+        np.multiply(v, beta2, out=v)
+        np.square(g, out=t1)
+        np.multiply(t1, 1.0 - beta2, out=t1)
+        np.add(v, t1, out=v)
+        np.divide(m, 1.0 - beta1 ** self._t, out=t1)
+        np.divide(v, 1.0 - beta2 ** self._t, out=t2)
+        np.sqrt(t2, out=t2)
+        np.add(t2, self.eps, out=t2)
+        np.multiply(t1, self.lr, out=t1)
+        np.divide(t1, t2, out=t1)
+        for param, update in zip(flat.params, flat.update_views):
+            np.subtract(param.data, update, out=param.data)
 
     def _update_sparse(self, index, param, grad):
         rows, values = grad.rows, grad.values
@@ -214,6 +286,7 @@ class Adam(Optimizer):
         self._v.clear()
         self._last_step.clear()
         self._t = 0
+        self._flat = None
 
 
 class Adagrad(Optimizer):

@@ -4,11 +4,12 @@ Runs the two :mod:`repro.tooling.analyzer` front ends and reports through
 the shared baseline machinery:
 
 * ``tape`` — traces one training step for every model in the registry on
-  a small synthetic multi-domain dataset, then statically verifies each
-  compiled tape (shape/dtype abstract interpretation, buffer def-use and
-  aliasing proofs, lifetime/buffer-reuse planning).  Models whose step
-  legitimately bails out of compilation are recorded with the bail
-  reason, not failed.
+  a small synthetic multi-domain dataset, and one more from a batch in the
+  columnar plane's dtypes (uint32 ids, float32 labels), then statically
+  verifies each compiled tape (shape/dtype abstract interpretation, buffer
+  def-use and aliasing proofs, lifetime/buffer-reuse planning).  Models
+  whose step legitimately bails out of compilation are recorded with the
+  bail reason, not failed.
 * ``effects`` — interprocedural determinism/effect audit over the
   parallel runtime (``repro/distributed`` + ``repro/online``), flagging
   paths by which the parallel entry points could depend on worker count
@@ -29,8 +30,11 @@ Run::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .analyzer import (
     EXIT_CLEAN,
@@ -51,7 +55,7 @@ FRONTENDS = ("tape", "effects")
 EFFECT_PATHS = ("src/repro/distributed", "src/repro/online")
 
 
-def _tape_dataset(seed=0):
+def _tape_dataset(seed=0, feature_mode="fixed"):
     from ..data import DomainSpec, SyntheticConfig, generate_dataset
 
     specs = tuple(
@@ -59,14 +63,26 @@ def _tape_dataset(seed=0):
     )
     return generate_dataset(SyntheticConfig(
         name="analyze", domains=specs, n_users=60, n_items=40,
-        latent_dim=4, feature_mode="fixed", feature_dim=8, seed=seed,
+        latent_dim=4, feature_mode=feature_mode, feature_dim=8, seed=seed,
     ))
 
 
-def run_tape_frontend(report, models=None, seed=0):
-    """Trace + statically certify one step per registry model.
+def _columnar(batch):
+    """``batch`` in the columnar plane's dtypes: uint32 ids, float32 labels."""
+    return dataclasses.replace(
+        batch, users=batch.users.astype(np.uint32),
+        items=batch.items.astype(np.uint32),
+        labels=batch.labels.astype(np.float32),
+    )
 
-    Returns ``{model: certificate}``.  Certification *findings* go into
+
+def run_tape_frontend(report, models=None, seed=0):
+    """Trace + statically certify tapes for every registry model.
+
+    Each model is traced twice: on a fixed-feature batch (entry
+    ``name/d0``) and on a trainable-embedding batch in the columnar plane's
+    dtypes (entry ``name/columnar``, the path the online trainer replays).
+    Returns ``{entry: certificate}``.  Certification *findings* go into
     the report; a compile bail (no tape at all) is only a stat — eager
     execution needs no certificate.
     """
@@ -80,35 +96,43 @@ def run_tape_frontend(report, models=None, seed=0):
     unknown = set(names) - set(MODEL_REGISTRY)
     if unknown:
         raise UsageError(f"unknown model(s): {', '.join(sorted(unknown))}")
-    dataset = _tape_dataset(seed)
+    cases = (
+        ("d0", _tape_dataset(seed), None),
+        ("columnar", _tape_dataset(seed, "trainable"), _columnar),
+    )
     rng = spawn_rng(seed, "analyze", "batch")
     stats, certificates = {}, {}
     for name in names:
-        model = build_model(name, dataset, seed=seed)
-        optimizer = make_optimizer("adam", model.parameters(), 0.05)
-        batch = sample_batch(dataset.domain(0).train, 0, 16, rng)
-        tape = executor_for(model).tape_for(batch, optimizer)
-        if tape is None:
-            stats[name] = {"certified": False, "bail": "compile bail (eager step)"}
-            continue
-        certificate = certify(tape, name=f"tape:{name}/d0")
-        certificates[name] = certificate
-        report.extend(certificate.findings)
-        entry = {
-            "certified": certificate.certified,
-            "n_records": certificate.n_records,
-            "n_kernels": certificate.n_kernels,
-            "n_backward": certificate.n_backward,
-            "imprecise": certificate.imprecise,
-        }
-        if not certificate.certified:
-            entry["bail"] = certificate.bail_reason
-        if certificate.plan is not None:
-            entry["arena_bytes"] = certificate.plan.arena_bytes
-            entry["saved_bytes"] = certificate.plan.saved_bytes
-        stats[name] = entry
+        for case, dataset, convert in cases:
+            entry_name = f"{name}/{case}"
+            model = build_model(name, dataset, seed=seed)
+            optimizer = make_optimizer("adam", model.parameters(), 0.05)
+            batch = sample_batch(dataset.domain(0).train, 0, 16, rng)
+            if convert is not None:
+                batch = convert(batch)
+            tape = executor_for(model).tape_for(batch, optimizer)
+            if tape is None:
+                stats[entry_name] = {"certified": False,
+                                     "bail": "compile bail (eager step)"}
+                continue
+            certificate = certify(tape, name=f"tape:{entry_name}")
+            certificates[entry_name] = certificate
+            report.extend(certificate.findings)
+            entry = {
+                "certified": certificate.certified,
+                "n_records": certificate.n_records,
+                "n_kernels": certificate.n_kernels,
+                "n_backward": certificate.n_backward,
+                "imprecise": certificate.imprecise,
+            }
+            if not certificate.certified:
+                entry["bail"] = certificate.bail_reason
+            if certificate.plan is not None:
+                entry["arena_bytes"] = certificate.plan.arena_bytes
+                entry["saved_bytes"] = certificate.plan.saved_bytes
+            stats[entry_name] = entry
     certified = sum(1 for s in stats.values() if s["certified"])
-    report.note("tape", models=stats, certified=certified, total=len(names))
+    report.note("tape", models=stats, certified=certified, total=len(stats))
     return certificates
 
 

@@ -12,22 +12,24 @@ from __future__ import annotations
 
 import gc
 import weakref
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from repro.core import TrainConfig, domain_negotiation_epoch, train_space
+from repro.core import TrainConfig, domain_negotiation_epoch
 from repro.core.regularization import domain_regularization_round
 from repro.core.param_space import DomainParameterSpace
 from repro.data import DomainSpec, SyntheticConfig, generate_dataset
 from repro.data.batching import Batch
 from repro.models import build_model
-from repro.nn import Module, Parameter, compiled_execution
+from repro.nn import Module, Parameter, eager_execution
 from repro.nn import functional as F
 from repro.nn import compile as compile_mod
 from repro.nn.compile import executor_for
 from repro.nn.optim import make_optimizer
 from repro.tooling.sanitizer import ReplayMismatchError
+from repro.train import Session, SessionConfig
 from repro.utils.seeding import spawn_rng
 
 pytestmark = pytest.mark.compile_smoke
@@ -130,11 +132,10 @@ class TestGuards:
         model = OmniModel()
         optimizer = make_optimizer("adam", model.parameters(), 0.05)
         executor = executor_for(model)
-        with compiled_execution():
-            executor.step(make_batch(6, 0), optimizer)
-            executor.step(make_batch(6, 1), optimizer)
-            traces_before = executor.traces
-            executor.step(make_batch(4, 2), optimizer)  # new shape → guard
+        executor.step(make_batch(6, 0), optimizer)
+        executor.step(make_batch(6, 1), optimizer)
+        traces_before = executor.traces
+        executor.step(make_batch(4, 2), optimizer)  # new shape → guard
         assert executor.traces == traces_before + 1
         assert executor.replays >= 1
 
@@ -142,14 +143,13 @@ class TestGuards:
         model = OmniModel()
         optimizer = make_optimizer("adam", model.parameters(), 0.05)
         executor = executor_for(model)
-        with compiled_execution():
-            executor.step(make_batch(6, 0), optimizer)
-            traces_before = executor.traces
-            model.eval()
-            try:
-                executor.step(make_batch(6, 1), optimizer)
-            finally:
-                model.train()
+        executor.step(make_batch(6, 0), optimizer)
+        traces_before = executor.traces
+        model.eval()
+        try:
+            executor.step(make_batch(6, 1), optimizer)
+        finally:
+            model.train()
         assert executor.traces == traces_before + 1
 
 
@@ -192,7 +192,7 @@ class TestDeterminism:
                 config.inner_optimizer, model.parameters(), config.inner_lr
             )
             shared = model.state_dict()
-            with compiled_execution(compiled):
+            with nullcontext() if compiled else eager_execution():
                 new_shared = domain_negotiation_epoch(
                     model, dataset, shared, config, spawn_rng(5, "dn"),
                     optimizer=optimizer,
@@ -211,29 +211,42 @@ class TestDeterminism:
 
 
 class TestCacheLifetime:
-    @staticmethod
-    def _live(types):
-        return sum(isinstance(obj, types) for obj in gc.get_objects())
+    def test_discarded_models_and_optimizers_are_collected(self, monkeypatch):
+        """Refcounting alone frees a fit: the model owns its executor, the
+        executor holds its model weakly, and Adam's flat buffers belong to
+        their optimizer (no optimizer ↔ schedule cycle).  With the cyclic
+        collector off, dropping ``Session.fit`` results leaves no model,
+        executor, tape or DR inner optimizer (one per helper pass) alive."""
+        from repro.core import regularization
 
-    def test_discarded_models_and_optimizers_are_collected(self):
-        """The executor belongs to its model and the schedule to its
-        optimizer, so dropping a fit drops its tapes: after K compiled
-        MAMDR epochs on K throwaway models no executor, schedule or model
-        is left alive (DR alone builds one optimizer per helper pass)."""
+        inner = []
+        original = regularization.make_inner_optimizer
+
+        def recording(model, config):
+            optimizer = original(model, config)
+            inner.append(weakref.ref(optimizer))
+            return optimizer
+
+        monkeypatch.setattr(regularization, "make_inner_optimizer", recording)
         dataset = make_tiny_dataset()
-        config = TrainConfig(epochs=1, batch_size=16, inner_steps=2,
-                             dr_steps=2, sample_k=1)
-        cached = (compile_mod.StepExecutor, compile_mod._OptimizerSchedule)
-        gc.collect()
-        before = self._live(cached)
-        models = []
-        for seed in range(4):
-            model = build_model("mlp", dataset, seed=seed)
-            with compiled_execution():
-                train_space(model, dataset, config, spawn_rng(seed, "leak"))
-            assert executor_for(model).replays > 0
-            models.append(weakref.ref(model))
-            del model
-        gc.collect()
-        assert self._live(cached) == before
-        assert [ref() for ref in models] == [None] * 4
+        train = TrainConfig(epochs=1, batch_size=16, inner_steps=2,
+                            dr_steps=2, sample_k=1)
+        refs = []
+        gc.disable()
+        try:
+            for seed in range(2):
+                config = SessionConfig(dataset=dataset.name, model="mlp",
+                                       framework="mamdr", seed=seed,
+                                       train=train)
+                result = Session(config, dataset=dataset).fit()
+                executor = executor_for(result.bank.model)
+                assert executor.replays > 0
+                refs += [weakref.ref(result.bank.model),
+                         weakref.ref(executor)]
+                refs += [weakref.ref(tape) for tape in executor._tapes.values()
+                         if tape is not None]
+                del result, executor
+            assert inner
+            assert [ref() for ref in refs + inner] == [None] * len(refs + inner)
+        finally:
+            gc.enable()

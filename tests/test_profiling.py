@@ -119,7 +119,6 @@ def test_runner_profiler_hook():
 
 def test_tape_breakdown_aggregates_compiled_kernels():
     from repro.models import build_model
-    from repro.nn import compiled_execution
     from repro.nn.optim import make_optimizer
     from repro.utils.seeding import spawn_rng
     from repro.data.batching import iter_minibatches
@@ -133,7 +132,7 @@ def test_tape_breakdown_aggregates_compiled_kernels():
         dataset.domains[0].train, 0, 8, rng=spawn_rng(0, "prof"),
         max_batches=4,
     ))
-    with compiled_execution(), profiling.profile() as compiled_prof:
+    with profiling.profile() as compiled_prof:
         for batch in batches:
             start = profiling.tick()
             executor.step(batch, optimizer)

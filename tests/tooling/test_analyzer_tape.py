@@ -20,7 +20,8 @@ from repro.models import MODEL_REGISTRY, build_model
 from repro.nn.compile import executor_for
 from repro.nn.optim import make_optimizer
 from repro.tooling import sanitizer
-from repro.tooling.analyzer import certify, verify_tape
+from repro.tooling.analyze import run_tape_frontend
+from repro.tooling.analyzer import Report, certify, verify_tape
 from repro.utils import profiling
 from repro.utils.seeding import spawn_rng
 
@@ -69,6 +70,16 @@ class TestCertification:
         _, _, _, tape = trace(dataset, name)
         certificate = certify(tape, name=f"tape:{name}")
         assert certificate.certified, certificate.bail_reason
+
+    def test_columnar_dtype_batches_trace_and_certify(self):
+        """The analyzer's columnar case (uint32 ids, float32 labels on a
+        trainable-embedding model) must compile, not bail, and certify."""
+        report = Report()
+        certificates = run_tape_frontend(report, models=["mlp", "star"])
+        assert report.findings == []
+        assert sorted(certificates) == ["mlp/columnar", "mlp/d0",
+                                        "star/columnar", "star/d0"]
+        assert all(cert.certified for cert in certificates.values())
 
     def test_executor_attaches_certificate_at_trace(self, dataset):
         _, _, _, tape = trace(dataset)
