@@ -23,8 +23,8 @@ Subpackages
     ``Session(config).fit()`` — the unified training facade over
     frameworks and the distributed cluster.
 ``repro.serving``
-    Online inference: versioned snapshots with atomic hot-swap,
-    micro-batching, and the serve-side static/dynamic embedding cache.
+    Online inference: versioned snapshots with atomic hot-swap and a
+    ``Predictor`` with the serve-side LRU embedding cache.
 ``repro.metrics`` / ``repro.analysis`` / ``repro.experiments``
     Evaluation, gradient-conflict probes and the table/figure harness.
 ``repro.tooling``

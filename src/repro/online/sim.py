@@ -31,7 +31,7 @@ import numpy as np
 
 from ..core import TrainConfig
 from ..models import build_model
-from ..serving.service import ServingService
+from ..serving.service import Predictor
 from ..serving.snapshots import SnapshotStore
 from ..train.session import ConfigError, _coerce
 from ..utils import profiling
@@ -199,7 +199,7 @@ def run_online_sim(config=None, verbose=False, log=None):
     store = SnapshotStore(keep=config.keep_versions)
     publisher = GatedPublisher(store, ValidationGate(probe, config.gate))
     monitor = DriftMonitor(config.stream.n_items, seed=config.seed)
-    service = ServingService(serve_model, store=store)
+    predictor = Predictor(serve_model, store)
 
     with profiling.profile() as prof:
         # ---- bootstrap -------------------------------------------------
@@ -279,7 +279,7 @@ def run_online_sim(config=None, verbose=False, log=None):
 
         # ---- serving parity audit --------------------------------------
         parity = _parity_audit(
-            service, probe, stream, parity_states, config
+            predictor, store, probe, stream, parity_states, config
         )
 
     post = [r for r in window_records
@@ -328,7 +328,7 @@ def run_online_sim(config=None, verbose=False, log=None):
     return results
 
 
-def _parity_audit(service, probe, stream, parity_states, config):
+def _parity_audit(predictor, store, probe, stream, parity_states, config):
     """Serving answers must be bit-identical to the offline forward."""
     from ..data.batching import Batch
 
@@ -340,7 +340,7 @@ def _parity_audit(service, probe, stream, parity_states, config):
                            size=config.parity_samples)
         items = rng.choice(stream.item_pools[domain],
                            size=config.parity_samples)
-        served = service.predict_batch(users, items, domain)
+        served = predictor.predict_batch(users, items, domain)
         probe.load_state_dict(parity_states[domain])
         offline = probe.predict(
             Batch(users, items, np.zeros(len(users)), domain)
@@ -352,7 +352,7 @@ def _parity_audit(service, probe, stream, parity_states, config):
     return {
         "exact": exact,
         "max_abs_diff": max_abs_diff,
-        "served_version": service.store.version,
+        "served_version": store.version,
         "n_requests": config.parity_samples * len(parity_states),
     }
 

@@ -1,18 +1,14 @@
 """Serve-side read-only embedding cache (the paper's Figure 7).
 
 The online system keeps embedding tables on the PS; a serving worker holds
-a local two-tier row cache per (table, domain):
-
-* a **static set** pinned when the snapshot is published — the hottest rows
-  by training-time access counts, never evicted;
-* a **dynamic set** for the tail — an LRU of bounded capacity, filled on
-  demand from the snapshot ("pull the latest row from the PS on a miss")
-  and evicting the least-recently-used row when full.
+a local row cache per (table, domain): an LRU of bounded capacity, filled
+on demand from the snapshot ("pull the latest row from the PS on a miss")
+and evicting the least-recently-used row when full.
 
 Unlike the training-side :class:`repro.distributed.EmbeddingCache`, this
 cache is *read-only*: serving never writes rows back, so there is no
-static/dynamic delta — the tiers are purely a locality hierarchy.  Hit,
-miss and eviction counters feed the service's ``stats()`` output.
+static/dynamic delta.  Hit, miss and eviction counters feed
+:meth:`repro.serving.service.Predictor.cache_stats`.
 """
 
 from __future__ import annotations
@@ -23,27 +19,20 @@ import numpy as np
 
 from ..utils import profiling
 
-__all__ = ["ServingEmbeddingCache", "training_access_counts"]
+__all__ = ["ServingEmbeddingCache"]
 
 
 class ServingEmbeddingCache:
-    """Two-tier (static pinned + dynamic LRU) row cache for one table."""
+    """LRU row cache for one table."""
 
-    def __init__(self, fetch_rows, static_ids=(), capacity=1024):
+    def __init__(self, fetch_rows, capacity=1024):
         """``fetch_rows(ids) -> [len(ids), dim]`` is the backing PS pull."""
         if capacity < 0:
-            raise ValueError("dynamic capacity must be >= 0")
+            raise ValueError("capacity must be >= 0")
         self._fetch = fetch_rows
         self._capacity = capacity
-        self._static = {}
-        static_ids = np.asarray(static_ids, dtype=np.int64)
-        if static_ids.size:
-            pinned = np.asarray(fetch_rows(static_ids), dtype=np.float64)
-            for row_id, row in zip(static_ids, pinned):
-                self._static[int(row_id)] = row
-        self._dynamic = OrderedDict()
-        self.static_hits = 0
-        self.dynamic_hits = 0
+        self._rows = OrderedDict()
+        self.hits = 0
         self.misses = 0
         self.evictions = 0
 
@@ -57,6 +46,8 @@ class ServingEmbeddingCache:
         every occurrence of the missing id in this call.
         """
         ids = np.asarray(ids, dtype=np.int64)
+        if not ids.size:
+            return np.asarray(self._fetch(ids), dtype=np.float64)
         unique, inverse, occurrences = np.unique(
             ids, return_inverse=True, return_counts=True
         )
@@ -64,15 +55,10 @@ class ServingEmbeddingCache:
         missing_slots = []
         for slot, row_id in enumerate(unique):
             key = int(row_id)
-            row = self._static.get(key)
+            row = self._rows.get(key)
             if row is not None:
-                self.static_hits += int(occurrences[slot])
-                gathered[slot] = row
-                continue
-            row = self._dynamic.get(key)
-            if row is not None:
-                self._dynamic.move_to_end(key)
-                self.dynamic_hits += int(occurrences[slot])
+                self._rows.move_to_end(key)
+                self.hits += int(occurrences[slot])
                 gathered[slot] = row
                 continue
             missing_slots.append(slot)
@@ -92,61 +78,22 @@ class ServingEmbeddingCache:
     def _admit(self, key, row):
         if self._capacity == 0:
             return
-        if len(self._dynamic) >= self._capacity:
-            self._dynamic.popitem(last=False)
+        if len(self._rows) >= self._capacity:
+            self._rows.popitem(last=False)
             self.evictions += 1
-        self._dynamic[key] = row
+        self._rows[key] = row
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def hits(self):
-        return self.static_hits + self.dynamic_hits
-
-    @property
     def hit_rate(self):
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def static_size(self):
-        return len(self._static)
+    def size(self):
+        return len(self._rows)
 
-    def dynamic_size(self):
-        return len(self._dynamic)
-
-    def dynamic_ids(self):
-        """Dynamic-tier ids in LRU order (next eviction first)."""
-        return list(self._dynamic)
-
-    def stats(self):
-        return {
-            "static_size": self.static_size(),
-            "dynamic_size": self.dynamic_size(),
-            "static_hits": self.static_hits,
-            "dynamic_hits": self.dynamic_hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
-
-
-def training_access_counts(dataset, field_map, table_sizes):
-    """Per-row training access counts for static-set pinning.
-
-    ``field_map`` maps embedding parameter names to the batch field that
-    indexes them (``"users"``/``"items"``, the convention of
-    :func:`repro.distributed.worker.embedding_field_map`); ``table_sizes``
-    gives each table's row count.  Counts are summed over every domain's
-    training split — the serving analogue of "frequency-ranked by
-    training-time accesses" in Figure 7.
-    """
-    counts = {}
-    for name, field in field_map.items():
-        ids = np.concatenate([
-            getattr(domain.train, field) for domain in dataset
-        ]) if len(dataset) else np.empty(0, dtype=np.int64)
-        counts[name] = np.bincount(
-            ids.astype(np.int64), minlength=int(table_sizes[name])
-        )
-    return counts
+    def ids(self):
+        """Cached ids in LRU order (next eviction first)."""
+        return list(self._rows)

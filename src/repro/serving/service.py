@@ -1,4 +1,4 @@
-"""The serving front door: Predictor, latency accounting, ServingService.
+"""The in-process serving path: RowLoader and Predictor.
 
 A :class:`Predictor` binds one model skeleton to a
 :class:`~repro.serving.snapshots.SnapshotStore` and answers per-domain CTR
@@ -6,11 +6,11 @@ queries with **bit-identical** results to offline
 ``space.load_combined(model, d); model.predict(batch)`` — the serving path
 changes where parameters come from, never their values.
 
-Two parameter paths exist, chosen automatically:
+Two parameter paths exist, chosen by the field map:
 
 * **full path** — on a (version, domain) switch the whole combined state is
-  loaded.  Always available; the only option for models without id
-  embedding tables (e.g. the fixed-feature Taobao encoders).
+  loaded.  ``field_map={}`` selects it; it is the only path for models
+  without id embedding tables (e.g. the fixed-feature Taobao encoders).
 * **row path** — dense (non-embedding) parameters are loaded on a
   (version, domain) switch, while embedding *rows* are fetched per batch
   through the serve-side :class:`ServingEmbeddingCache` and scattered into
@@ -19,70 +19,24 @@ Two parameter paths exist, chosen automatically:
   sufficient — per-request work is O(batch), not O(table), which is what
   lets one worker serve many domains over huge id spaces (Section IV-E).
 
-:class:`ServingService` wires a Predictor to the
-:class:`~repro.serving.batcher.MicroBatcher` and a latency recorder whose
-p50/p95/p99 and QPS are exported through :mod:`repro.utils.profiling`.
+Under load the same Predictor runs in every
+:class:`~repro.traffic.pool.PredictorPool` worker; request queueing,
+batching and shedding live in :mod:`repro.traffic`.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
 from ..data.batching import Batch
 from ..distributed.worker import embedding_field_map
 from ..utils import profiling
-from .batcher import BatchingPolicy, MicroBatcher
-from .embedding_cache import ServingEmbeddingCache, training_access_counts
-from .snapshots import SnapshotStore
+from .embedding_cache import ServingEmbeddingCache
 
-__all__ = ["LatencyRecorder", "Predictor", "RowLoader", "ServingService"]
+__all__ = ["Predictor", "RowLoader"]
 
-#: rows per (table, domain) row cache: the pinned hottest-by-training-access
-#: static tier, and the LRU dynamic tier behind it.
-STATIC_CACHE_CAPACITY = 256
-DYNAMIC_CACHE_CAPACITY = 2048
-
-
-class LatencyRecorder:
-    """Per-request latency samples with tail percentiles and QPS."""
-
-    def __init__(self, name="serving.request_seconds"):
-        self.name = name
-        self._samples = []
-
-    def observe(self, seconds):
-        self._samples.append(float(seconds))
-        profiling.observe(self.name, seconds)
-
-    def reset(self):
-        self._samples = []
-
-    @property
-    def count(self):
-        return len(self._samples)
-
-    def quantile_seconds(self, q):
-        return profiling.percentile(self._samples, q)
-
-    def qps(self, elapsed_seconds):
-        """Request throughput over an externally timed window."""
-        if elapsed_seconds <= 0:
-            return 0.0
-        return self.count / elapsed_seconds
-
-    def summary(self):
-        if not self._samples:
-            return {"count": 0}
-        scale = 1e3  # report milliseconds
-        return {
-            "count": self.count,
-            "mean_ms": sum(self._samples) / self.count * scale,
-            "p50_ms": self.quantile_seconds(0.5) * scale,
-            "p95_ms": self.quantile_seconds(0.95) * scale,
-            "p99_ms": self.quantile_seconds(0.99) * scale,
-        }
+#: rows per (table, domain) LRU row cache.
+CACHE_CAPACITY = 2048
 
 
 class RowLoader:
@@ -125,14 +79,11 @@ class RowLoader:
 class Predictor:
     """Scores per-domain requests against the current snapshot."""
 
-    def __init__(self, model, store, field_map=None, use_row_cache=True):
+    def __init__(self, model, store, field_map=None):
         self._model = model
         self._store = store
         self._loader = RowLoader(model, field_map)
         self.field_map = self._loader.field_map
-        self.use_row_cache = bool(use_row_cache) and bool(self.field_map)
-        if not self.use_row_cache:
-            self._loader = RowLoader(model, {})  # all dense: the full path
         self._loaded = None          # (version, domain) currently in the model
         self._caches = {}            # (name, domain) -> ServingEmbeddingCache
         self._cache_version = None
@@ -179,10 +130,7 @@ class Predictor:
         if cache is None:
             cache = ServingEmbeddingCache(
                 lambda ids, n=name, d=domain, s=snapshot: s.rows_for(n, d, ids),
-                static_ids=snapshot.static_row_ids(
-                    name, STATIC_CACHE_CAPACITY
-                ),
-                capacity=DYNAMIC_CACHE_CAPACITY,
+                capacity=CACHE_CAPACITY,
             )
             self._caches[(name, domain)] = cache
         return cache
@@ -203,116 +151,22 @@ class Predictor:
     # Introspection
     # ------------------------------------------------------------------
     def cache_stats(self):
-        """Per-table cache counters aggregated over domains."""
+        """Per-table cache counters aggregated over domains.
+
+        ``static_hits`` is always 0: the cache has one LRU tier, and the
+        key stays because the benchmark of record sums it.
+        """
         aggregated = {}
         for (name, _domain), cache in self._caches.items():
             entry = aggregated.setdefault(name, {
                 "caches": 0, "static_hits": 0, "dynamic_hits": 0,
                 "misses": 0, "evictions": 0,
             })
-            stats = cache.stats()
             entry["caches"] += 1
-            for field in ("static_hits", "dynamic_hits", "misses",
-                          "evictions"):
-                entry[field] += stats[field]
+            entry["dynamic_hits"] += cache.hits
+            entry["misses"] += cache.misses
+            entry["evictions"] += cache.evictions
         for entry in aggregated.values():
-            hits = entry["static_hits"] + entry["dynamic_hits"]
-            total = hits + entry["misses"]
-            entry["hit_rate"] = hits / total if total else 0.0
+            total = entry["dynamic_hits"] + entry["misses"]
+            entry["hit_rate"] = entry["dynamic_hits"] / total if total else 0.0
         return aggregated
-
-
-class ServingService:
-    """The online inference front door: predict, batch, reload, stats."""
-
-    def __init__(self, model, store=None, policy=None, field_map=None,
-                 use_row_cache=True, clock=time.perf_counter):
-        self.store = store if store is not None else SnapshotStore()
-        self.predictor = Predictor(
-            model, self.store, field_map=field_map,
-            use_row_cache=use_row_cache,
-        )
-        self.latency = LatencyRecorder()
-        self._clock = clock
-        self.batcher = MicroBatcher(
-            policy if policy is not None else BatchingPolicy(),
-            score_batch=self.predictor.predict_batch,
-            clock=clock,
-            on_complete=lambda request: self.latency.observe(request.latency),
-        )
-
-    # ------------------------------------------------------------------
-    # Publishing / reloading
-    # ------------------------------------------------------------------
-    def publish(self, space, dataset=None, access_counts=None, metadata=None):
-        """Publish a trained parameter space as the new live version.
-
-        When ``dataset`` is given (and the model has id-embedding tables),
-        per-row training access counts are derived from it so the serve
-        caches can pin their static sets (Figure 7's frequency ranking).
-        """
-        if access_counts is None and dataset is not None:
-            field_map = self.predictor.field_map
-            if field_map:
-                sizes = {
-                    name: self.predictor._loader.params[name].data.shape[0]
-                    for name in field_map
-                }
-                access_counts = training_access_counts(
-                    dataset, field_map, sizes
-                )
-        return self.store.publish(
-            space, access_counts=access_counts, metadata=metadata
-        )
-
-    def publish_states(self, domain_states, default_state=None, **kwargs):
-        """Publish explicit per-domain states (a trained ``StateBank``)."""
-        return self.store.publish_states(
-            domain_states, default_state=default_state, **kwargs
-        )
-
-    reload = publish
-
-    # ------------------------------------------------------------------
-    # Synchronous path
-    # ------------------------------------------------------------------
-    def predict_batch(self, users, items, domain):
-        start = self._clock()
-        scores = self.predictor.predict_batch(users, items, domain)
-        elapsed = self._clock() - start
-        for _ in range(len(scores)):
-            self.latency.observe(elapsed)
-        return scores
-
-    def predict(self, user, item, domain):
-        return float(self.predict_batch([user], [item], domain)[0])
-
-    # ------------------------------------------------------------------
-    # Micro-batched path
-    # ------------------------------------------------------------------
-    def submit(self, user, item, domain):
-        return self.batcher.submit(user, item, domain)
-
-    def poll(self):
-        return self.batcher.poll()
-
-    def drain(self):
-        return self.batcher.drain()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def stats(self):
-        try:
-            version = self.store.version
-        except LookupError:
-            version = None
-        return {
-            "version": version,
-            "latency": self.latency.summary(),
-            "batcher": self.batcher.stats(),
-            "embedding_cache": self.predictor.cache_stats(),
-        }
-
-    def reset_stats(self):
-        self.latency.reset()

@@ -59,18 +59,12 @@ class ModelSnapshot:
         are read-only and may alias :attr:`default_state` entries (COW).
     default_state:
         The shared state ``θ_S``, served to unknown domains.
-    access_counts:
-        Optional ``{param_name: per-row access counts}`` recorded at
-        publish time; the serve-side embedding cache pins its static set
-        from these (hot rows by training-time access frequency).
     """
 
-    def __init__(self, version, states, default_state, access_counts=None,
-                 metadata=None):
+    def __init__(self, version, states, default_state, metadata=None):
         self.version = version
         self.states = states
         self.default_state = default_state
-        self.access_counts = dict(access_counts or {})
         self.metadata = dict(metadata or {})
 
     @property
@@ -93,19 +87,6 @@ class ModelSnapshot:
         backing fetch of the serve-side embedding cache.
         """
         return self.state_for(domain)[name][ids]
-
-    def static_row_ids(self, name, capacity):
-        """Top-``capacity`` hottest rows of table ``name`` by access count.
-
-        Rows never touched during training are not pinned — the dynamic
-        LRU tier exists for exactly that tail.
-        """
-        counts = self.access_counts.get(name)
-        if counts is None or capacity <= 0:
-            return np.empty(0, dtype=np.int64)
-        counts = np.asarray(counts)
-        hot = np.argsort(counts, kind="stable")[::-1][:capacity]
-        return np.sort(hot[counts[hot] > 0]).astype(np.int64)
 
     def cow_stats(self):
         """How much publishing saved: aliased vs. copied per-domain arrays.
@@ -167,7 +148,7 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     # Publishing
     # ------------------------------------------------------------------
-    def publish(self, space, access_counts=None, metadata=None):
+    def publish(self, space, metadata=None):
         """Materialize and hot-swap a :class:`DomainParameterSpace`.
 
         Copy-on-write against a frozen copy of ``θ_S``: zero-delta entries
@@ -188,10 +169,10 @@ class SnapshotStore:
             )
             for domain in domains:
                 states[domain] = frozen
-        return self._install(states, shared, access_counts, metadata)
+        return self._install(states, shared, metadata)
 
     def publish_states(self, domain_states, default_state=None,
-                       access_counts=None, metadata=None):
+                       metadata=None):
         """Publish explicit per-domain states (e.g. a trained ``StateBank``).
 
         COW here is by *value*: an entry bit-identical to the default state
@@ -216,12 +197,11 @@ class SnapshotStore:
                 else:
                     out[name] = _freeze(np.array(value, dtype=np.float64))
             states[int(domain)] = out
-        return self._install(states, default, access_counts, metadata)
+        return self._install(states, default, metadata)
 
-    def _install(self, states, default_state, access_counts, metadata):
+    def _install(self, states, default_state, metadata):
         snapshot = ModelSnapshot(
-            self._next_version, states, default_state,
-            access_counts=access_counts, metadata=metadata,
+            self._next_version, states, default_state, metadata=metadata,
         )
         self._next_version += 1
         self._versions[snapshot.version] = snapshot
@@ -296,14 +276,13 @@ class SnapshotStore:
         )
         return snapshot.version
 
-    def load(self, path, access_counts=None, metadata=None):
+    def load(self, path, metadata=None):
         """Publish a snapshot from a checksummed archive as a new version."""
         domain_states, default_state = load_bank_states(
             path, require_checksum=True
         )
         return self.publish_states(
-            domain_states, default_state=default_state,
-            access_counts=access_counts, metadata=metadata,
+            domain_states, default_state=default_state, metadata=metadata,
         )
 
 
@@ -378,10 +357,6 @@ class SharedSnapshotArena:
             int(domain): [(name, intern(value)) for name, value in state.items()]
             for domain, state in snapshot.states.items()
         }
-        count_entries = [
-            (name, intern(np.ascontiguousarray(value)))
-            for name, value in snapshot.access_counts.items()
-        ]
 
         layout = {}
         dtype_names = {}  # str(dtype) builds the name anew on every call
@@ -417,7 +392,6 @@ class SharedSnapshotArena:
             "arrays": layout,
             "default_state": default_entries,
             "states": state_entries,
-            "access_counts": count_entries,
             "metadata": dict(snapshot.metadata),
         }
         del view
@@ -461,12 +435,9 @@ class SharedSnapshotArena:
             )
             for domain, entries in manifest["states"].items()
         }
-        access_counts = {
-            name: views[key] for name, key in manifest["access_counts"]
-        }
         snapshot = ModelSnapshot(
             manifest["version"], states, default_state,
-            access_counts=access_counts, metadata=manifest["metadata"],
+            metadata=manifest["metadata"],
         )
         return cls(segment, manifest, snapshot, owner=False,
                    views=views.values())

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 import queue as queue_module
+import time
 import traceback
 from multiprocessing import get_all_start_methods, get_context
 
@@ -42,6 +43,9 @@ from ..serving.snapshots import SharedSnapshotArena
 from ..utils import profiling
 
 __all__ = ["PoolError", "PredictorPool", "fork_available"]
+
+#: how long a blocking result wait sleeps before checking worker liveness.
+_LIVENESS_SLICE_S = 0.1
 
 
 def fork_available():
@@ -92,10 +96,10 @@ class _WorkerStore:
             self._arena.close()
 
 
-def _worker_main(worker_id, tasks, results, model, predictor_kwargs):
+def _worker_main(worker_id, tasks, results, model):
     """Forked child: attach, score, flip generations, report errors."""
     store = _WorkerStore()
-    predictor = Predictor(model, store, **predictor_kwargs)
+    predictor = Predictor(model, store)
     try:
         while True:
             message = tasks.recv()
@@ -145,8 +149,7 @@ class PredictorPool:
     parent's copy is never touched by pool scoring.
     """
 
-    def __init__(self, model, n_workers=2, use_row_cache=True,
-                 field_map=None):
+    def __init__(self, model, n_workers=2):
         if n_workers < 1:
             raise ValueError("need at least one worker")
         if not fork_available():
@@ -157,10 +160,6 @@ class PredictorPool:
             )
         self._model = model
         self.n_workers = int(n_workers)
-        self._predictor_kwargs = {
-            "use_row_cache": use_row_cache,
-            "field_map": field_map,
-        }
         self._ctx = get_context("fork")
         self._procs = []
         self._task_pipes = []
@@ -192,8 +191,7 @@ class PredictorPool:
             parent_end, child_end = self._ctx.Pipe()
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(worker_id, child_end, self._results, self._model,
-                      self._predictor_kwargs),
+                args=(worker_id, child_end, self._results, self._model),
                 daemon=True,
             )
             proc.start()
@@ -261,8 +259,8 @@ class PredictorPool:
         )
         self._arenas[self._generation] = arena
         self._pending_acks[self._generation] = set(range(self.n_workers))
-        for pipe in self._task_pipes:
-            pipe.send(("reload", arena.manifest))
+        for worker in range(self.n_workers):
+            self._send(worker, ("reload", arena.manifest))
         profiling.count("traffic.pool_publish")
         if not wait:
             return []
@@ -293,9 +291,7 @@ class PredictorPool:
             self._next_worker = (self._next_worker + 1) % self.n_workers
         users = np.ascontiguousarray(users, dtype=np.int64)
         items = np.ascontiguousarray(items, dtype=np.int64)
-        self._task_pipes[worker].send(
-            ("score", batch_id, int(domain), users, items)
-        )
+        self._send(worker, ("score", batch_id, int(domain), users, items))
         self._inflight += 1
         return worker
 
@@ -338,17 +334,42 @@ class PredictorPool:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _next_result(self, timeout):
+    def _send(self, worker, message):
         try:
-            message = self._results.get(timeout=timeout)
-        except queue_module.Empty:
-            raise PoolError(
-                f"no pool result within {timeout}s "
-                f"({self._inflight} batches in flight)"
-            ) from None
-        if self._handle_control(message):
+            self._task_pipes[worker].send(message)
+        except BrokenPipeError:
+            raise self._worker_died(worker) from None
+
+    def _worker_died(self, worker):
+        proc = self._procs[worker]
+        proc.join(_LIVENESS_SLICE_S)
+        return PoolError(
+            f"worker {worker} (pid {proc.pid}) exited with code "
+            f"{proc.exitcode} ({self._inflight} batches in flight)"
+        )
+
+    def _next_result(self, timeout):
+        """The next result, waiting in slices so a dead worker is named
+        as soon as it is seen exited — after one more slice, in which
+        anything it sent before exiting is still read."""
+        deadline = time.monotonic() + timeout
+        dead = None
+        while True:
+            try:
+                message = self._results.get(timeout=_LIVENESS_SLICE_S)
+            except queue_module.Empty:
+                if dead is not None:
+                    raise self._worker_died(dead) from None
+                dead = next((worker for worker, proc in enumerate(self._procs)
+                             if not proc.is_alive()), None)
+                if dead is None and time.monotonic() >= deadline:
+                    raise PoolError(
+                        f"no pool result within {timeout}s "
+                        f"({self._inflight} batches in flight)"
+                    ) from None
+                continue
+            self._handle_control(message)
             return message
-        return message
 
     def _handle_control(self, message):
         """Process control traffic; True when ``message`` was control."""

@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.models import build_model
 from repro.nn.state import state_allclose, state_scale
-from repro.serving import ServingService, SnapshotStore
+from repro.serving import Predictor, SnapshotStore
 
 from tests.conftest import make_tiny_dataset
 
@@ -92,28 +92,30 @@ def test_copied_bytes_charge_each_unique_state_once(space):
 
 
 def test_hot_swap_and_rollback_through_clustered_store(space, dataset):
-    service = ServingService(build_model("mlp", dataset, seed=0))
-    first = service.publish(space, dataset=dataset)
+    store = SnapshotStore()
+    predictor = Predictor(build_model("mlp", dataset, seed=0), store)
+    first = store.publish(space)
     users = np.array([0, 1, 2], dtype=np.int64)
     items = np.array([0, 1, 2], dtype=np.int64)
-    before = service.predict_batch(users, items, 2)
+    before = predictor.predict_batch(users, items, 2)
 
     # training advances the cluster delta; republish = hot swap
     space.apply_delta(space.groups()[1], state_scale(space.shared, 0.9))
-    second = service.publish(space, dataset=dataset)
+    second = store.publish(space)
     assert second.version == first.version + 1
-    after = service.predict_batch(users, items, 2)
+    after = predictor.predict_batch(users, items, 2)
     assert not np.array_equal(before, after)
 
     # rollback restores the old scores bit for bit
-    service.store.rollback(first.version)
-    rolled = service.predict_batch(users, items, 2)
+    store.rollback(first.version)
+    rolled = predictor.predict_batch(users, items, 2)
     np.testing.assert_array_equal(rolled, before)
 
 
 def test_serving_parity_with_offline_materialization(space, dataset):
-    service = ServingService(build_model("mlp", dataset, seed=0))
-    service.publish(space, dataset=dataset)
+    store = SnapshotStore()
+    predictor = Predictor(build_model("mlp", dataset, seed=0), store)
+    store.publish(space)
     probe = build_model("mlp", dataset, seed=0)
     from repro.data import sample_batch
     from repro.utils.seeding import spawn_rng
@@ -122,6 +124,6 @@ def test_serving_parity_with_offline_materialization(space, dataset):
     for domain in range(dataset.n_domains):
         table = dataset.domain(domain).test
         batch = sample_batch(table, domain, min(16, len(table)), rng)
-        served = service.predict_batch(batch.users, batch.items, domain)
+        served = predictor.predict_batch(batch.users, batch.items, domain)
         space.load_combined(probe, domain)
         np.testing.assert_array_equal(served, probe.predict(batch))

@@ -1,13 +1,11 @@
-"""Serve-side embedding cache: static pinning, LRU order, counters."""
+"""Serve-side embedding cache: LRU order and counters."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.serving import ServingEmbeddingCache, training_access_counts
-
-from tests.conftest import make_tiny_dataset
+from repro.serving import ServingEmbeddingCache
 
 pytestmark = pytest.mark.serving
 
@@ -31,17 +29,8 @@ class CountingSource:
 def test_fetch_returns_backing_rows():
     cache = ServingEmbeddingCache(CountingSource(), capacity=4)
     np.testing.assert_array_equal(cache.fetch([2, 0, 2]), TABLE[[2, 0, 2]])
-
-
-def test_static_set_pinned_at_construction():
-    source = CountingSource()
-    cache = ServingEmbeddingCache(source, static_ids=[1, 3], capacity=4)
-    assert source.calls == 1  # one bulk pull for the pinned rows
-    assert cache.static_size() == 2
-    cache.fetch([1, 3, 1])
-    assert cache.static_hits == 3
-    assert cache.misses == 0
-    assert source.calls == 1  # static hits never touch the source
+    # an empty batch is the backing gather of no ids, not an error
+    assert cache.fetch([]).shape == (0, TABLE.shape[1])
 
 
 def test_dynamic_lru_eviction_order():
@@ -49,31 +38,29 @@ def test_dynamic_lru_eviction_order():
     cache = ServingEmbeddingCache(source, capacity=2)
     cache.fetch([0])
     cache.fetch([1])
-    assert cache.dynamic_ids() == [0, 1]
+    assert cache.ids() == [0, 1]
     cache.fetch([0])                      # refresh 0: now 1 is next out
-    assert cache.dynamic_ids() == [1, 0]
+    assert cache.ids() == [1, 0]
     cache.fetch([2])                      # evicts 1
-    assert cache.dynamic_ids() == [0, 2]
+    assert cache.ids() == [0, 2]
     assert cache.evictions == 1
     cache.fetch([1])                      # 1 must re-miss
     assert cache.misses == 4
 
 
 def test_counters_and_hit_rate():
-    cache = ServingEmbeddingCache(CountingSource(), static_ids=[0],
-                                  capacity=4)
+    cache = ServingEmbeddingCache(CountingSource(), capacity=4)
+    cache.fetch([0])
     cache.fetch([0, 5, 5, 7])
-    # 0 is a static hit; first 5 misses, duplicate 5 in the same call
-    # counts with its unique id's outcome; 7 misses.
-    assert cache.static_hits == 1
-    assert cache.misses == 3
+    # 0 hits; first 5 misses, duplicate 5 in the same call counts with
+    # its unique id's outcome; 7 misses.
+    assert cache.hits == 1
+    assert cache.misses == 4
     cache.fetch([5, 7])
-    assert cache.dynamic_hits == 2
-    assert cache.hit_rate == pytest.approx(3 / 6)
-    stats = cache.stats()
-    assert stats["static_size"] == 1
-    assert stats["dynamic_size"] == 2
-    assert stats["evictions"] == 0
+    assert cache.hits == 3
+    assert cache.hit_rate == pytest.approx(3 / 7)
+    assert cache.size() == 3
+    assert cache.evictions == 0
 
 
 def test_missing_rows_pulled_in_one_bulk_call():
@@ -86,10 +73,10 @@ def test_missing_rows_pulled_in_one_bulk_call():
 
 def test_zero_capacity_disables_dynamic_tier():
     source = CountingSource()
-    cache = ServingEmbeddingCache(source, static_ids=[0], capacity=0)
+    cache = ServingEmbeddingCache(source, capacity=0)
     cache.fetch([1])
     cache.fetch([1])
-    assert cache.dynamic_size() == 0
+    assert cache.size() == 0
     assert cache.misses == 2
     assert cache.evictions == 0
 
@@ -100,17 +87,3 @@ def test_returned_rows_are_detached_copies():
     rows[0, 0] = 1e9
     np.testing.assert_array_equal(cache.fetch([3]), TABLE[[3]])
 
-
-def test_training_access_counts_sum_over_domains():
-    dataset = make_tiny_dataset("trainable")
-    field_map = {"u.weight": "users", "i.weight": "items"}
-    sizes = {"u.weight": dataset.n_users, "i.weight": dataset.n_items}
-    counts = training_access_counts(dataset, field_map, sizes)
-    assert counts["u.weight"].shape == (dataset.n_users,)
-    assert counts["u.weight"].sum() == dataset.total_interactions("train")
-    assert counts["i.weight"].sum() == dataset.total_interactions("train")
-    expected = np.bincount(
-        np.concatenate([d.train.users for d in dataset]),
-        minlength=dataset.n_users,
-    )
-    np.testing.assert_array_equal(counts["u.weight"], expected)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import DomainParameterSpace
 from repro.models import build_model
-from repro.serving import BatchingPolicy, Predictor, ServingService, SnapshotStore
+from repro.serving import Predictor, SnapshotStore
 from repro.utils.seeding import spawn_rng
 
 from tests.conftest import make_tiny_dataset
@@ -79,87 +79,38 @@ def test_full_path_equals_row_path(dataset):
     space = make_space(model, dataset.n_domains)
     store = SnapshotStore()
     store.publish(space)
-    row = Predictor(model, store, use_row_cache=True)
-    full = Predictor(model, store, use_row_cache=False)
-    users, items = make_queries(dataset)
-    for domain in range(dataset.n_domains):
-        np.testing.assert_array_equal(
-            row.predict_batch(users, items, domain),
-            full.predict_batch(users, items, domain),
-        )
+    row = Predictor(model, store)
+    full = Predictor(model, store, field_map={})
+    assert row.field_map and not full.field_map
+    empty = np.empty(0, dtype=np.int64)
+    for users, items in (make_queries(dataset), (empty, empty)):
+        for domain in range(dataset.n_domains):
+            np.testing.assert_array_equal(
+                row.predict_batch(users, items, domain),
+                full.predict_batch(users, items, domain),
+            )
 
 
 def test_parity_immediately_after_hot_reload(dataset):
     model = build_model("mlp", dataset, seed=0)
     space = make_space(model, dataset.n_domains)
-    service = ServingService(model)
-    service.publish(space, dataset=dataset)
+    store = SnapshotStore()
+    predictor = Predictor(model, store)
+    store.publish(space)
     users, items = make_queries(dataset)
-    service.predict_batch(users, items, 0)  # warm version 1 state + caches
+    predictor.predict_batch(users, items, 0)  # warm version 1 state + caches
 
     # Training advanced: new shared weights and deltas, hot reload.
     space.set_shared({n: v + 0.125 for n, v in space.shared.items()})
     space.set_delta(2, {
         n: v * 2.0 for n, v in space.delta(2).items()
     })
-    service.reload(space, dataset=dataset)
-    assert service.store.version == 2
+    store.publish(space)
+    assert store.version == 2
     for domain in range(dataset.n_domains):
-        served = service.predict_batch(users, items, domain)
+        served = predictor.predict_batch(users, items, domain)
         expected = offline_scores(dataset, space, users, items, domain)
         np.testing.assert_array_equal(served, expected)
-
-
-def test_batched_path_matches_offline(dataset):
-    model = build_model("mlp", dataset, seed=0)
-    space = make_space(model, dataset.n_domains)
-    service = ServingService(
-        model, policy=BatchingPolicy(max_batch_size=5, max_wait_us=1e6)
-    )
-    service.publish(space)
-    users, items = make_queries(dataset, n=18)
-    rng = spawn_rng(11, "serving-parity", "domains")
-    domains = rng.integers(0, dataset.n_domains, size=len(users))
-    requests = [
-        service.submit(users[i], items[i], int(domains[i]))
-        for i in range(len(users))
-    ]
-    service.drain()
-    assert all(request.done for request in requests)
-    for domain in range(dataset.n_domains):
-        mask = domains == domain
-        if not mask.any():
-            continue
-        served = np.array(
-            [r.result for r, m in zip(requests, mask) if m]
-        )
-        expected = offline_scores(
-            dataset, space, users[mask], items[mask], domain
-        )
-        np.testing.assert_array_equal(served, expected)
-
-
-def test_queued_requests_never_see_a_half_published_version(dataset):
-    """Requests queued across a publish are scored wholly under one version."""
-    model = build_model("mlp", dataset, seed=0)
-    space = make_space(model, dataset.n_domains)
-    service = ServingService(
-        model, policy=BatchingPolicy(max_batch_size=100, max_wait_us=1e6)
-    )
-    service.publish(space)
-    users, items = make_queries(dataset, n=10)
-    requests = [
-        service.submit(users[i], items[i], 1) for i in range(len(users))
-    ]
-    # A publish lands while the batch is still queued.
-    space.set_shared({n: v - 0.5 for n, v in space.shared.items()})
-    service.reload(space)
-    service.drain()
-    served = np.array([request.result for request in requests])
-    # The flush pinned exactly one snapshot: all rows match version 2,
-    # none are a mixture of old and new parameters.
-    expected_v2 = offline_scores(dataset, space, users, items, 1)
-    np.testing.assert_array_equal(served, expected_v2)
 
 
 def test_fixed_feature_models_serve_via_full_path(dataset):
@@ -169,7 +120,6 @@ def test_fixed_feature_models_serve_via_full_path(dataset):
     space = make_space(model, fixed.n_domains)
     predictor = Predictor(model, SnapshotStore())
     assert predictor.field_map == {}
-    assert not predictor.use_row_cache
     predictor._store.publish(space)
     users, items = make_queries(fixed)
     for domain in range(fixed.n_domains):
@@ -188,19 +138,3 @@ def test_unknown_field_map_parameter_rejected(dataset):
     model = build_model("mlp", dataset, seed=0)
     with pytest.raises(KeyError, match="unknown parameters"):
         Predictor(model, SnapshotStore(), field_map={"nope.weight": "users"})
-
-
-def test_service_stats_shape(dataset):
-    model = build_model("mlp", dataset, seed=0)
-    space = make_space(model, dataset.n_domains)
-    service = ServingService(model)
-    service.publish(space)
-    users, items = make_queries(dataset, n=8)
-    service.predict_batch(users, items, 0)
-    stats = service.stats()
-    assert stats["version"] == 1
-    assert stats["latency"]["count"] == 8
-    assert set(stats["latency"]) >= {"p50_ms", "p95_ms", "p99_ms"}
-    assert stats["batcher"]["requests"] == 0  # sync path bypasses batcher
-    service.reset_stats()
-    assert service.stats()["latency"] == {"count": 0}

@@ -158,20 +158,6 @@ def test_load_requires_integrity_header(tmp_path, space):
         SnapshotStore().load(path)
 
 
-def test_static_row_ids_rank_by_frequency(space):
-    counts = np.array([0, 5, 2, 9, 0, 1])
-    name = next(iter(space.shared))
-    snapshot = SnapshotStore().publish(space, access_counts={name: counts})
-    np.testing.assert_array_equal(
-        snapshot.static_row_ids(name, 3), [1, 2, 3]
-    )
-    # zero-count rows are never pinned even with spare capacity
-    np.testing.assert_array_equal(
-        snapshot.static_row_ids(name, 10), [1, 2, 3, 5]
-    )
-    assert snapshot.static_row_ids("unknown", 3).size == 0
-
-
 # ----------------------------------------------------------------------
 # Retention vs. rollback (the online-publisher contract)
 # ----------------------------------------------------------------------
@@ -231,9 +217,7 @@ def test_shared_arena_round_trip_preserves_bits_and_aliasing(space):
     from repro.serving import SharedSnapshotArena
 
     store = SnapshotStore()
-    snapshot = store.publish(
-        space, access_counts={"user_emb.weight": np.arange(5)}
-    )
+    snapshot = store.publish(space)
     arena = SharedSnapshotArena.materialize(snapshot, generation=3)
     attached = SharedSnapshotArena.attach(arena.manifest)
     try:

@@ -1,21 +1,9 @@
-"""Shared-memory hygiene and the pool tests' training data.
-
-A segment that outlives its pool is reported only by the multiprocessing
-resource tracker — another process, at interpreter exit — so no test
-could see it.  Every test here is bracketed by a listing of ``/dev/shm``.
-"""
+"""The pool tests' training data."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
-import pytest
-
 from repro.data import DomainSpec, SyntheticConfig, generate_dataset
 from repro.utils.seeding import spawn_rng
-
-SHM_DIR = Path("/dev/shm")
-
 
 def make_serving_dataset(n_domains=5, seed=1):
     """A heavy-tailed synthetic multi-domain dataset to train and serve."""
@@ -43,18 +31,3 @@ def train_rng(seed, dataset):
     (they publish from the *space* — θ_S + deltas — so copy-on-write
     materialization has real shared structure to exploit)."""
     return spawn_rng(seed, "pool-parity", "train", dataset.name)
-
-
-def shm_segments():
-    """Names of the ``multiprocessing.shared_memory`` segments that exist."""
-    if not SHM_DIR.is_dir():
-        return set()
-    return {path.name for path in SHM_DIR.glob("psm_*")}
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    before = shm_segments()
-    yield
-    leaked = shm_segments() - before
-    assert not leaked, f"shared-memory segments survived the test: {leaked}"

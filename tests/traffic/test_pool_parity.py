@@ -27,12 +27,8 @@ from repro.traffic import (
 )
 from repro.traffic.tracegen import TraceConfig, generate_trace
 
-from tests.traffic.conftest import (
-    SHM_DIR,
-    make_serving_dataset,
-    shm_segments,
-    train_rng,
-)
+from tests.conftest import SHM_DIR, make_tiny_dataset, shm_segments
+from tests.traffic.conftest import make_serving_dataset, train_rng
 
 pytestmark = [
     pytest.mark.traffic,
@@ -83,16 +79,42 @@ def test_snapshots_genuinely_differ(serving_setup):
     assert not np.array_equal(scores_a, scores_b)
 
 
-def test_pool_scores_bit_identical_to_single_process(serving_setup):
+@pytest.fixture(scope="module")
+def fixed_setup():
+    """A fixed-feature model (no id tables): workers take the full path."""
+    dataset = make_tiny_dataset("fixed")
+    model = build_model("mlp", dataset, seed=0)
+    config = TrainConfig(
+        epochs=1, batch_size=32, inner_steps=1, dr_steps=1, sample_k=1,
+    )
+    snapshot = SnapshotStore().publish(
+        train_space(model, dataset, config, train_rng(0, dataset))
+    )
+    rng = np.random.default_rng(7)
+    users = rng.integers(0, dataset.n_users, size=32).astype(np.int64)
+    items = rng.integers(0, dataset.n_items, size=32).astype(np.int64)
+    return dataset, model, snapshot, users, items
+
+
+def test_pool_scores_bit_identical_to_single_process(serving_setup,
+                                                     fixed_setup):
     dataset, model, snapshot_a, _, users, items = serving_setup
-    reference = Predictor(model, PinnedStore(snapshot_a))
-    with PredictorPool(model, n_workers=2) as pool:
-        pool.publish(snapshot_a)
-        for domain in range(dataset.n_domains):
-            pooled = pool.score(users[:32], items[:32], domain)
-            reference.invalidate_caches()
-            expected = reference.predict_batch(users[:32], items[:32], domain)
-            assert np.array_equal(pooled, np.asarray(expected))
+    # With id tables workers take the row path, without them the full path.
+    for dataset, model, snapshot, users, items, row_path in (
+        (dataset, model, snapshot_a, users, items, True),
+        (*fixed_setup, False),
+    ):
+        reference = Predictor(model, PinnedStore(snapshot))
+        assert bool(reference.field_map) == row_path
+        with PredictorPool(model, n_workers=2) as pool:
+            pool.publish(snapshot)
+            for domain in range(dataset.n_domains):
+                pooled = pool.score(users[:32], items[:32], domain)
+                reference.invalidate_caches()
+                expected = reference.predict_batch(
+                    users[:32], items[:32], domain
+                )
+                assert np.array_equal(pooled, np.asarray(expected))
 
 
 def test_hot_reload_under_load_is_generation_exact(serving_setup):
@@ -286,3 +308,25 @@ def test_no_segment_is_rewritten_before_every_worker_acked(serving_setup):
         # retired second and unlinked.
         assert shm_segments() - preexisting >= {first}
         assert len(shm_segments() - preexisting) == 2
+
+
+def test_dead_worker_is_named_promptly(serving_setup):
+    """A worker killed with a batch in flight fails the drain fast, by
+    name, and later sends to its pipe fail the same way."""
+    import os
+    import signal
+    import time
+
+    _, model, snapshot_a, _, users, items = serving_setup
+    with PredictorPool(model, n_workers=2) as pool:
+        pool.publish(snapshot_a)
+        victim = pool.worker_pids()[0]
+        os.kill(victim, signal.SIGSTOP)
+        pool.submit(0, 0, users[:8], items[:8], worker=0)
+        os.kill(victim, signal.SIGKILL)
+        start = time.monotonic()
+        with pytest.raises(PoolError, match="worker 0"):
+            pool.drain(expected=1)
+        assert time.monotonic() - start < 5.0
+        with pytest.raises(PoolError, match="worker 0"):
+            pool.submit(1, 0, users[:8], items[:8], worker=0)
