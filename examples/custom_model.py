@@ -17,7 +17,7 @@ from repro.frameworks import Alternate
 from repro.metrics import evaluate_bank
 from repro.models import build_encoder
 from repro.models.base import CTRModel
-from repro.nn import Dense, MLPBlock
+from repro.nn import MLPBlock
 from repro.nn import functional as F
 
 

@@ -21,12 +21,16 @@ binary format and opened via one read-only ``mmap``:
   code upconverts on contact: :class:`~repro.nn.tensor.Tensor` coerces
   float32 labels to float64 (0/1 values are exact in both), and uint32
   ids index embedding tables directly.
-* **Integrity** — the same ``FORMAT_VERSION`` + SHA-256 idiom as the
-  parameter archives (:mod:`repro.nn.serialization`): the preamble pins
-  the header's digest, the header pins per-chunk digests of the payload,
-  and the declared file size catches truncation at open time without
-  reading a single payload byte.  :meth:`ColumnarStore.verify_checksums`
-  streams the payload when a full audit is wanted.
+* **Integrity** — the preamble pins the header's SHA-256, the header
+  pins per-chunk digests of the payload, and the declared file size
+  catches truncation at open time without reading a single payload
+  byte.  :meth:`ColumnarStore.verify_checksums` streams the payload when
+  a full audit is wanted.
+* **One container** — the same format persists named arrays of any
+  shape (:func:`write_arrays` / :func:`read_arrays`): serving snapshots
+  and cluster checkpoints.  Every file is written to ``<path>.tmp``,
+  fsync'd and renamed over ``path``, so a writer killed at any point
+  leaves the previous file intact.
 
 Storage-vs-semantics is split exactly like PR 9's ``DomainParamStore``:
 :class:`InteractionStore` is the protocol, :class:`RamInteractionStore`
@@ -56,10 +60,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn.serialization import SerializationError
 from .schema import Domain, InteractionTable, MultiDomainDataset
 
 __all__ = [
+    "SerializationError",
     "COLUMNAR_FORMAT_VERSION",
     "USER_DTYPE",
     "ITEM_DTYPE",
@@ -74,6 +78,8 @@ __all__ = [
     "RamInteractionStore",
     "ColumnarStore",
     "ColumnarWriter",
+    "write_arrays",
+    "read_arrays",
     "write_dataset",
     "open_dataset",
     "dataset_from_store",
@@ -110,6 +116,10 @@ DATASET_COLUMNS = (("users", USER_DTYPE), ("items", ITEM_DTYPE),
 STREAM_COLUMNS = (("users", USER_DTYPE), ("items", ITEM_DTYPE),
                   ("labels", LABEL_DTYPE), ("domains", DOMAIN_DTYPE),
                   ("times", CLOCK_DTYPE))
+
+
+class SerializationError(ValueError):
+    """A persisted file is corrupt, tampered or incompatible."""
 
 
 def _align(offset, alignment=_PAYLOAD_ALIGN):
@@ -265,21 +275,17 @@ def _check_ids(values, bound, label):
 
 
 # ----------------------------------------------------------------------
-# Binary format
+# Binary format (dtypes are stored as ``np.dtype.str``, e.g. '<u4' —
+# endianness-explicit)
 # ----------------------------------------------------------------------
-def _dtype_str(dtype):
-    return np.dtype(dtype).str  # e.g. '<u4' — endianness-explicit
-
-
 class ColumnarWriter:
     """Chunked out-of-core writer for the columnar binary format.
 
     Rows arrive in append batches (bounded RAM); each column spills to a
     temp file next to the destination.  :meth:`finalize` streams the
-    spills into the final column-major payload while hashing, then writes
-    the header at the end of the file and the checksummed preamble at the
-    front.  Use as a context manager — an exception cleans up the spills
-    and the partial output::
+    spills into the final column-major payload through the one file
+    writer (:func:`_write_file`).  Use as a context manager — an
+    exception cleans up the spills and never touches ``path``::
 
         with ColumnarWriter(path, DATASET_COLUMNS, name="x") as writer:
             writer.new_extent(domain="D1", index=0, split="train")
@@ -335,7 +341,6 @@ class ColumnarWriter:
     def new_extent(self, **meta):
         """Close the current extent (if any) and open a new one."""
         self._require_open()
-        self._close_extent()
         self._extents.append([self.rows, self.rows, dict(meta)])
         self._extent_open = True
 
@@ -375,9 +380,6 @@ class ColumnarWriter:
             )
         return value.astype(dtype)
 
-    def _close_extent(self):
-        self._extent_open = False
-
     def _require_open(self):
         if self._finalized:
             raise ValueError("writer already finalized")
@@ -386,110 +388,37 @@ class ColumnarWriter:
     def finalize(self):
         """Assemble the final file; returns the parsed header dict."""
         self._require_open()
-        self._close_extent()
         for handle in self._spills.values():
             handle.close()
 
-        layout = []
-        offset = _PREAMBLE_BYTES
-        for name, dtype in self.columns.items():
-            offset = _align(offset)
-            nbytes = self.rows * dtype.itemsize
-            layout.append({
-                "name": name, "dtype": _dtype_str(dtype),
-                "offset": offset, "nbytes": nbytes,
-            })
-            offset += nbytes
-        payload_stop = offset
+        def spill_chunks(name):
+            with open(os.path.join(self._spill_dir, name), "rb") as spill:
+                yield from iter(lambda: spill.read(8 * 1024 * 1024), b"")
 
-        digests = []
-        hasher = [hashlib.sha256(), 0]   # current chunk hasher, bytes fed
-
-        def feed(chunk):
-            view = memoryview(chunk)
-            while len(view):
-                room = self.checksum_chunk_bytes - hasher[1]
-                take = view[:room]
-                hasher[0].update(take)
-                hasher[1] += len(take)
-                if hasher[1] == self.checksum_chunk_bytes:
-                    digests.append(hasher[0].hexdigest())
-                    hasher[0] = hashlib.sha256()
-                    hasher[1] = 0
-                view = view[room:]
-
+        sections = [
+            ({"name": name, "dtype": dtype.str,
+              "nbytes": self.rows * dtype.itemsize}, spill_chunks(name))
+            for name, dtype in self.columns.items()
+        ]
         try:
-            with open(self.path, "wb") as out:
-                out.write(b"\x00" * _PREAMBLE_BYTES)
-                position = _PREAMBLE_BYTES
-                for spec, name in zip(layout, self.columns):
-                    pad = spec["offset"] - position
-                    if pad:
-                        padding = b"\x00" * pad
-                        out.write(padding)
-                        feed(padding)
-                        position += pad
-                    with open(os.path.join(self._spill_dir, name),
-                              "rb") as spill:
-                        while True:
-                            chunk = spill.read(8 * 1024 * 1024)
-                            if not chunk:
-                                break
-                            out.write(chunk)
-                            feed(chunk)
-                            position += len(chunk)
-                    if position != spec["offset"] + spec["nbytes"]:
-                        raise SerializationError(
-                            f"column {name!r} spill holds "
-                            f"{position - spec['offset']} bytes, expected "
-                            f"{spec['nbytes']} — append/finalize mismatch"
-                        )
-                if hasher[1]:
-                    digests.append(hasher[0].hexdigest())
-
-                header = {
-                    "format_version": COLUMNAR_FORMAT_VERSION,
-                    "kind": self.kind,
-                    "name": self.name,
-                    "n_users": self.n_users,
-                    "n_items": self.n_items,
-                    "rows": self.rows,
-                    "columns": layout,
-                    "extents": [
-                        {"start": start, "stop": stop, "meta": meta}
-                        for start, stop, meta in self._extents
-                    ],
-                    "meta": self.meta,
-                    "payload_stop": payload_stop,
-                    "checksum_chunk_bytes": self.checksum_chunk_bytes,
-                    "chunk_checksums": digests,
-                }
-                header_bytes = json.dumps(header, sort_keys=True).encode()
-                out.write(header_bytes)
-
-                out.seek(0)
-                out.write(_MAGIC)
-                out.write(np.uint64(payload_stop).tobytes())
-                out.write(np.uint64(len(header_bytes)).tobytes())
-                out.write(hashlib.sha256(header_bytes).digest())
-        except Exception:
-            self._cleanup_spills()
-            if os.path.exists(self.path):
-                os.unlink(self.path)
-            self._finalized = True
-            raise
-        self._cleanup_spills()
-        self._finalized = True
-        return header
+            return _write_file(self.path, sections, {
+                "kind": self.kind,
+                "name": self.name,
+                "n_users": self.n_users,
+                "n_items": self.n_items,
+                "rows": self.rows,
+                "extents": [
+                    {"start": start, "stop": stop, "meta": meta}
+                    for start, stop, meta in self._extents
+                ],
+                "meta": self.meta,
+            }, self.checksum_chunk_bytes)
+        finally:
+            self.abort()
 
     def abort(self):
-        """Drop the spills and any partial output without finalizing."""
-        self._cleanup_spills()
-        if not self._finalized and os.path.exists(self.path):
-            os.unlink(self.path)
+        """Drop the spills without finalizing; ``path`` is left as it was."""
         self._finalized = True
-
-    def _cleanup_spills(self):
         for handle in self._spills.values():
             if not handle.closed:
                 handle.close()
@@ -499,6 +428,165 @@ class ColumnarWriter:
                 os.unlink(spill)
         if os.path.isdir(self._spill_dir):
             os.rmdir(self._spill_dir)
+
+
+def _write_file(path, sections, header, checksum_chunk_bytes):
+    """Write one ``RPROCOL1`` file atomically; returns its header.
+
+    ``sections`` pairs each section's ``spec`` (``name``, ``dtype``,
+    ``nbytes``, optional ``shape``) with an iterable of its bytes.  The
+    file goes to ``<path>.tmp``, is fsync'd and renamed over ``path``:
+    a writer that dies leaves the previous ``path`` intact.
+    """
+    layout = []
+    offset = _PREAMBLE_BYTES
+    for spec, _ in sections:
+        offset = _align(offset)
+        layout.append(dict(spec, offset=offset))
+        offset += spec["nbytes"]
+    payload_stop = offset
+
+    digests = []
+    hasher = [hashlib.sha256(), 0]   # current chunk hasher, bytes fed
+
+    def feed(chunk):
+        view = memoryview(chunk)
+        while len(view):
+            room = checksum_chunk_bytes - hasher[1]
+            take = view[:room]
+            hasher[0].update(take)
+            hasher[1] += len(take)
+            if hasher[1] == checksum_chunk_bytes:
+                digests.append(hasher[0].hexdigest())
+                hasher[0] = hashlib.sha256()
+                hasher[1] = 0
+            view = view[room:]
+
+    path = os.fspath(path)
+    partial = path + ".tmp"
+    try:
+        with open(partial, "wb") as out:
+            out.write(b"\x00" * _PREAMBLE_BYTES)
+            position = _PREAMBLE_BYTES
+            for spec, (_, chunks) in zip(layout, sections):
+                padding = b"\x00" * (spec["offset"] - position)
+                out.write(padding)
+                feed(padding)
+                position += len(padding)
+                for chunk in chunks:
+                    out.write(chunk)
+                    feed(chunk)
+                    position += len(chunk)
+                if position != spec["offset"] + spec["nbytes"]:
+                    raise SerializationError(
+                        f"section {spec['name']!r} holds "
+                        f"{position - spec['offset']} bytes, expected "
+                        f"{spec['nbytes']}"
+                    )
+            if hasher[1]:
+                digests.append(hasher[0].hexdigest())
+
+            header = dict(
+                header,
+                format_version=COLUMNAR_FORMAT_VERSION,
+                columns=layout,
+                payload_stop=payload_stop,
+                checksum_chunk_bytes=checksum_chunk_bytes,
+                chunk_checksums=digests,
+            )
+            header_bytes = json.dumps(header, sort_keys=True).encode()
+            out.write(header_bytes)
+
+            out.seek(0)
+            out.write(_MAGIC)
+            out.write(np.uint64(payload_stop).tobytes())
+            out.write(np.uint64(len(header_bytes)).tobytes())
+            out.write(hashlib.sha256(header_bytes).digest())
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.unlink(partial)
+        raise
+    directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+    return header
+
+
+def write_arrays(path, arrays, *, kind, meta=None):
+    """Persist ``{name: ndarray}`` of any shapes to one ``RPROCOL1`` file.
+
+    Each array becomes one section that records its dtype and shape.
+    ``kind`` tags the file (:func:`read_arrays` refuses any other kind)
+    and ``meta``, a JSON-able dict, rides in the checksummed header.
+    Returns the header.
+    """
+    sections = []
+    for name, array in arrays.items():
+        array = np.asarray(array)
+        raw = np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+        sections.append(({
+            "name": name, "dtype": array.dtype.str,
+            "shape": array.shape, "nbytes": array.nbytes,
+        }, [raw]))
+    return _write_file(path, sections, {"kind": kind, "meta": meta or {}},
+                       _DEFAULT_CHECKSUM_CHUNK)
+
+
+def read_arrays(path, kind):
+    """Load ``({name: ndarray}, meta)`` from a :func:`write_arrays` file.
+
+    The header is verified first, then every payload chunk's digest;
+    nothing comes back from a file that fails either check or holds
+    another ``kind``.  The arrays are writable views of one buffer.
+    """
+    header = _read_header(path)
+    if header["kind"] != kind:
+        raise SerializationError(
+            f"{path}: a {header['kind']!r} file, not a {kind!r} file"
+        )
+    payload = bytearray().join(_payload_chunks(path, header))
+    arrays = OrderedDict(
+        (spec["name"], _section(payload, spec, start=_PREAMBLE_BYTES))
+        for spec in header["columns"]
+    )
+    return arrays, header["meta"]
+
+
+def _section(buffer, spec, start=0):
+    """Section ``spec`` as an array over ``buffer``, which begins at file
+    offset ``start``; a section without a ``shape`` is a 1-D column."""
+    dtype = np.dtype(spec["dtype"])
+    array = np.frombuffer(
+        buffer, dtype=dtype, count=spec["nbytes"] // dtype.itemsize,
+        offset=spec["offset"] - start,
+    )
+    return array.reshape(spec.get("shape", -1))
+
+
+def _payload_chunks(path, header):
+    """Stream the payload in checksum chunks, verifying each before it
+    is yielded; the first mismatch raises :class:`SerializationError`."""
+    chunk_bytes = int(header["checksum_chunk_bytes"])
+    expected = header["chunk_checksums"]
+    remaining = int(header["payload_stop"]) - _PREAMBLE_BYTES
+    with open(path, "rb") as handle:
+        handle.seek(_PREAMBLE_BYTES)
+        for index in range(max(len(expected), -(-remaining // chunk_bytes))):
+            chunk = handle.read(min(chunk_bytes, remaining))
+            remaining -= len(chunk)
+            if (index >= len(expected)
+                    or hashlib.sha256(chunk).hexdigest() != expected[index]):
+                raise SerializationError(
+                    f"{path}: payload chunk {index} failed checksum "
+                    "verification; the file is corrupt or was modified "
+                    "after writing"
+                )
+            yield chunk
 
 
 def _read_header(path):
@@ -589,13 +677,10 @@ class ColumnarStore(InteractionStore):
         with open(path, "rb") as handle:
             mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
         try:
-            columns = OrderedDict()
-            for spec in header["columns"]:
-                dtype = np.dtype(spec["dtype"])
-                count = spec["nbytes"] // dtype.itemsize
-                columns[spec["name"]] = np.frombuffer(
-                    mapping, dtype=dtype, count=count, offset=spec["offset"]
-                )
+            columns = OrderedDict(
+                (spec["name"], _section(mapping, spec))
+                for spec in header["columns"]
+            )
             store = cls(path, header, mapping, columns)
         except Exception:
             mapping.close()
@@ -606,30 +691,8 @@ class ColumnarStore(InteractionStore):
 
     def verify_checksums(self):
         """Stream the payload and compare every chunk digest (O(payload))."""
-        chunk_bytes = int(self.header["checksum_chunk_bytes"])
-        expected = self.header["chunk_checksums"]
-        payload_stop = int(self.header["payload_stop"])
-        digests = []
-        with open(self.path, "rb") as handle:
-            handle.seek(_PREAMBLE_BYTES)
-            remaining = payload_stop - _PREAMBLE_BYTES
-            while remaining > 0:
-                chunk = handle.read(min(chunk_bytes, remaining))
-                if not chunk:
-                    break
-                digests.append(hashlib.sha256(chunk).hexdigest())
-                remaining -= len(chunk)
-        if digests != expected:
-            bad = next(
-                (i for i, (a, b) in enumerate(zip(digests, expected))
-                 if a != b),
-                min(len(digests), len(expected)),
-            )
-            raise SerializationError(
-                f"{self.path}: payload chunk {bad} failed checksum "
-                "verification; the file is corrupt or was modified after "
-                "writing"
-            )
+        for _ in _payload_chunks(self.path, self.header):
+            pass
 
     def release(self):
         """Return resident payload pages to the OS (data stays on disk).

@@ -4,32 +4,31 @@ A checkpoint captures everything the driver needs to restart a training
 run bit-for-bit after a crash: the authoritative PS state and version,
 the server-side optimizer's accumulated slots, the driver RNG's exact
 bit-generator state, the best-snapshot tracker and the epoch counter.
-It is persisted through :mod:`repro.nn.serialization`, so every archive
-carries the checksummed integrity header — a truncated or bit-flipped
-checkpoint fails loudly at load instead of resuming from garbage.
-
-Layout (one ``.npz`` archive):
+It is one ``RPROCOL1`` file of kind ``"checkpoint"``
+(:func:`repro.data.columnar.write_arrays`): a truncated or bit-flipped
+checkpoint fails loudly at load instead of resuming from garbage, and a
+driver killed mid-write leaves the previous checkpoint.  Sections:
 
 * ``state/<param>`` — PS authoritative arrays;
-* ``best/<param>`` + ``ckpt/best_score`` — the tracker's best snapshot;
+* ``best/<param>`` — the tracker's best snapshot;
 * ``opt/<slot>/<param_index>`` — server optimizer slot arrays;
 * ``wkr/<worker_id>/<slot>/<param_index>`` — worker inner-optimizer slots
   (the inner Adam's moments carry across epochs, so exact resume must
   restore them);
-* ``ckpt/{epoch, version, rng, meta}`` — scalars and JSON blobs; the
-  meta blob also carries every model-held RNG stream (e.g. dropout
-  masks), per worker and for the driver replica, because those streams
-  advance with training and a fresh replica would re-deal them.
+
+and the header's meta holds epoch, version, driver RNG and best score,
+plus every model-held RNG stream (e.g. dropout masks), per worker and
+for the driver replica, because those streams advance with training and
+a fresh replica would re-deal them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..nn.serialization import SerializationError, load_state, save_state
+from ..data.columnar import SerializationError, read_arrays, write_arrays
 from ..utils.seeding import spawn_rng
 
 __all__ = [
@@ -110,7 +109,7 @@ class ClusterCheckpoint:
 
 def save_checkpoint(path, ps, epoch, rng=None, tracker=None, workers=None,
                     driver_model=None):
-    """Persist the cluster's recoverable state to ``path`` (.npz).
+    """Persist the cluster's recoverable state to ``path`` (atomically).
 
     ``ps`` is the :class:`~repro.distributed.ps.ParameterServer`; ``rng``
     the driver generator threading through the epochs; ``tracker`` the
@@ -144,22 +143,17 @@ def save_checkpoint(path, ps, epoch, rng=None, tracker=None, workers=None,
             raise TypeError("only state-dict trackers can be checkpointed")
         for name, value in tracker.best.items():
             payload[_BEST + name] = value
-    payload["ckpt/meta"] = np.array(json.dumps(meta))
-    save_state(path, payload)
+    write_arrays(path, payload, kind="checkpoint", meta=meta)
     return path
 
 
 def load_checkpoint(path):
     """Load a :class:`ClusterCheckpoint` saved by :func:`save_checkpoint`.
 
-    Raises :class:`~repro.nn.serialization.SerializationError` when the
-    archive is corrupt (checksum mismatch) or structurally not a
-    checkpoint.
+    Raises :class:`~repro.data.columnar.SerializationError` when the
+    file is truncated or corrupt (checksum mismatch) or not a checkpoint.
     """
-    payload = load_state(path, require_checksum=True)
-    if "ckpt/meta" not in payload:
-        raise SerializationError(f"{path!s} is not a cluster checkpoint")
-    meta = json.loads(str(payload.pop("ckpt/meta")[()]))
+    payload, meta = read_arrays(path, kind="checkpoint")
     state, best, slots, worker_slots = {}, {}, {}, {}
     for key, value in payload.items():
         if key.startswith(_STATE):

@@ -24,7 +24,7 @@ deployment has and the old in-process simulation lacked.  The stack:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..utils import profiling
 from .faults import DELIVER, DROP, DUPLICATE, TIMEOUT, WorkerCrashed

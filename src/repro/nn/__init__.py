@@ -27,14 +27,6 @@ from .layers import (
 )
 from .module import Module, ModuleList, Parameter
 from .optim import SGD, Adagrad, Adam, Optimizer, make_optimizer
-from .serialization import (
-    SerializationError,
-    load_bank_states,
-    load_state,
-    save_bank_states,
-    save_state,
-    state_checksum,
-)
 from .sparse import SparseGrad, sparse_grads_enabled, use_sparse_grads
 from .state import (
     clone_state,
@@ -73,12 +65,6 @@ __all__ = [
     "Adam",
     "Adagrad",
     "make_optimizer",
-    "save_state",
-    "load_state",
-    "save_bank_states",
-    "load_bank_states",
-    "SerializationError",
-    "state_checksum",
     "functional",
     "glorot_uniform",
     "he_uniform",

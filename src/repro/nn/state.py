@@ -12,6 +12,7 @@ framework code reads like the paper's equations.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "state_dot",
     "state_norm",
     "state_allclose",
+    "state_checksum",
 ]
 
 
@@ -154,3 +156,20 @@ def state_allclose(a, b, atol=1e-10):
     if a.keys() != b.keys():
         return False
     return all(np.allclose(a[name], b[name], atol=atol) for name in a)
+
+
+def state_checksum(payload):
+    """SHA-256 hex digest over a ``{key: ndarray}`` payload.
+
+    The digest covers key names, dtypes, shapes and raw bytes in sorted key
+    order, so it is independent of insertion order but sensitive to any
+    value, shape or renaming change.
+    """
+    digest = hashlib.sha256()
+    for key in sorted(payload):
+        value = np.ascontiguousarray(payload[key])
+        digest.update(key.encode())
+        digest.update(str(value.dtype).encode())
+        digest.update(str(value.shape).encode())
+        digest.update(value.tobytes())
+    return digest.hexdigest()

@@ -39,9 +39,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..data.columnar import STREAM_COLUMNS, ColumnarStore, ColumnarWriter
+from ..data.columnar import (
+    STREAM_COLUMNS,
+    ColumnarStore,
+    ColumnarWriter,
+    SerializationError,
+)
 from ..data.schema import Domain, InteractionTable, MultiDomainDataset
-from ..nn.serialization import SerializationError
 from ..utils import profiling
 from ..utils.seeding import spawn_rng
 

@@ -14,9 +14,10 @@ untouched embedding tables, frozen fields — *aliases* the frozen shared
 array instead of holding an ``θ_S + 0`` copy.  Publishing ``n_domains``
 combined states therefore does not cost ``n_domains`` full model copies.
 
-Persistence reuses :mod:`repro.nn.serialization`, whose format-version +
-checksum header makes a truncated or bit-flipped snapshot fail at load
-time instead of silently serving garbage parameters.
+Persistence is one crash-safe, checksummed ``RPROCOL1`` file
+(:func:`repro.data.columnar.write_arrays`) holding each distinct array
+once; a truncated or bit-flipped snapshot fails at load time instead of
+silently serving garbage parameters.
 
 For the multi-process predictor pool (:mod:`repro.traffic.pool`) the COW
 materialization extends *across processes*: a
@@ -36,7 +37,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..nn.serialization import load_bank_states, save_bank_states
+from ..data.columnar import read_arrays, write_arrays
 
 __all__ = ["ModelSnapshot", "SnapshotStore", "SharedSnapshotArena"]
 
@@ -45,6 +46,52 @@ def _freeze(array):
     """Mark an array read-only (published snapshots are immutable)."""
     array.setflags(write=False)
     return array
+
+
+def _snapshot_entries(snapshot):
+    """Deduplicate a snapshot's arrays by identity: ``(arrays, entries)``.
+
+    ``arrays`` maps a key to each distinct array once (a ``θ_S`` table
+    aliased by forty domains is one key); ``entries`` names the states
+    through those keys — ``{"default_state": [(name, key)] or None,
+    "states": {domain: [(name, key)]}}``.
+    """
+    keys = {}   # id(array) -> key
+    arrays = OrderedDict()
+
+    def intern(array):
+        key = keys.get(id(array))
+        if key is None:
+            key = keys[id(array)] = f"a{len(keys)}"
+            arrays[key] = array
+        return key
+
+    default_entries = None
+    if snapshot.default_state is not None:
+        default_entries = [
+            (name, intern(value))
+            for name, value in snapshot.default_state.items()
+        ]
+    state_entries = {
+        int(domain): [(name, intern(value)) for name, value in state.items()]
+        for domain, state in snapshot.states.items()
+    }
+    return arrays, {"default_state": default_entries, "states": state_entries}
+
+
+def _snapshot_states(arrays, entries):
+    """Rebuild ``(states, default_state)`` from :func:`_snapshot_entries`;
+    entries naming one key share one array, so COW aliasing survives."""
+    default_state = None
+    if entries["default_state"] is not None:
+        default_state = OrderedDict(
+            (name, arrays[key]) for name, key in entries["default_state"]
+        )
+    states = {
+        int(domain): OrderedDict((name, arrays[key]) for name, key in named)
+        for domain, named in entries["states"].items()
+    }
+    return states, default_state
 
 
 class ModelSnapshot:
@@ -266,24 +313,24 @@ class SnapshotStore:
         return self._current
 
     # ------------------------------------------------------------------
-    # Persistence (reuses the checksummed bank archive format)
+    # Persistence (one RPROCOL1 file, each distinct array once)
     # ------------------------------------------------------------------
     def save(self, path, version=None):
-        """Persist one snapshot (default: the live one) to ``path``."""
+        """Persist one snapshot (default: the live one) atomically."""
         snapshot = self.current() if version is None else self.get(version)
-        save_bank_states(
-            path, snapshot.states, default_state=snapshot.default_state
-        )
+        arrays, entries = _snapshot_entries(snapshot)
+        write_arrays(path, arrays, kind="snapshot", meta=entries)
         return snapshot.version
 
     def load(self, path, metadata=None):
-        """Publish a snapshot from a checksummed archive as a new version."""
-        domain_states, default_state = load_bank_states(
-            path, require_checksum=True
+        """Publish a snapshot file as a new version; a truncated, corrupt
+        or foreign file raises ``SerializationError`` and installs nothing.
+        """
+        arrays, entries = read_arrays(path, kind="snapshot")
+        states, default_state = _snapshot_states(
+            {key: _freeze(value) for key, value in arrays.items()}, entries,
         )
-        return self.publish_states(
-            domain_states, default_state=default_state, metadata=metadata,
-        )
+        return self._install(states, default_state, metadata)
 
 
 # ----------------------------------------------------------------------
@@ -336,32 +383,11 @@ class SharedSnapshotArena:
         3.3 ms into the same segment closed and re-mapped by name, 4.5 ms
         into a fresh one — so do not "save RSS" by closing it.
         """
-        arrays = {}   # id(array) -> (key, array)
-        order = []
-
-        def intern(array):
-            key = arrays.get(id(array))
-            if key is None:
-                key = f"a{len(arrays)}"
-                arrays[id(array)] = key
-                order.append((key, array))
-            return key
-
-        default_entries = None
-        if snapshot.default_state is not None:
-            default_entries = [
-                (name, intern(value))
-                for name, value in snapshot.default_state.items()
-            ]
-        state_entries = {
-            int(domain): [(name, intern(value)) for name, value in state.items()]
-            for domain, state in snapshot.states.items()
-        }
-
+        arrays, entries = _snapshot_entries(snapshot)
         layout = {}
         dtype_names = {}  # str(dtype) builds the name anew on every call
         offset = 0
-        for key, array in order:
+        for key, array in arrays.items():
             offset = -(-offset // _ALIGN) * _ALIGN  # round up
             if array.dtype not in dtype_names:
                 dtype_names[array.dtype] = str(array.dtype)
@@ -379,7 +405,7 @@ class SharedSnapshotArena:
             if spare is not None:
                 spare.unlink()
             segment = shared_memory.SharedMemory(create=True, size=size)
-        for key, array in order:
+        for key, array in arrays.items():
             view = np.ndarray(
                 array.shape, dtype=array.dtype,
                 buffer=segment.buf, offset=layout[key]["offset"],
@@ -390,8 +416,7 @@ class SharedSnapshotArena:
             "generation": int(generation),
             "version": snapshot.version,
             "arrays": layout,
-            "default_state": default_entries,
-            "states": state_entries,
+            **entries,
             "metadata": dict(snapshot.metadata),
         }
         del view
@@ -424,17 +449,7 @@ class SharedSnapshotArena:
             )
             view.setflags(write=False)
             views[key] = view
-        default_state = None
-        if manifest["default_state"] is not None:
-            default_state = OrderedDict(
-                (name, views[key]) for name, key in manifest["default_state"]
-            )
-        states = {
-            int(domain): OrderedDict(
-                (name, views[key]) for name, key in entries
-            )
-            for domain, entries in manifest["states"].items()
-        }
+        states, default_state = _snapshot_states(views, manifest)
         snapshot = ModelSnapshot(
             manifest["version"], states, default_state,
             metadata=manifest["metadata"],

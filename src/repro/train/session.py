@@ -33,7 +33,7 @@ from ..distributed import FaultPlan, RetryPolicy, SimulatedCluster
 from ..frameworks import framework_by_name
 from ..metrics import evaluate_bank
 from ..models import build_model
-from ..nn.serialization import load_bank_states
+from ..serving import SnapshotStore
 
 __all__ = ["ConfigError", "DistributedConfig", "Session", "SessionConfig",
            "SessionResult"]
@@ -116,9 +116,9 @@ class SessionConfig:
     simulated PS-Worker cluster instead of an in-process framework, and
     ``framework`` is ignored.
 
-    ``warm_start_snapshot`` names a checksummed bank archive (as written
-    by ``SnapshotStore.save`` / ``save_bank_states``) whose shared state
-    initializes the model before training — the continual-learning hook.
+    ``warm_start_snapshot`` names a snapshot file (as written by
+    ``SnapshotStore.save``) whose shared state initializes the model
+    before training — the continual-learning hook.
     ``online`` is an optional plain-dict section of continual-pipeline
     knobs (stream/gate/trainer overrides) consumed by
     :func:`repro.online.sim.build_sim_config`; it rides along untouched
@@ -244,19 +244,19 @@ class Session:
     def warm_start_state(self):
         """The shared state θ_S from ``warm_start_snapshot`` (cached).
 
-        Loaded through the checksummed archive reader, so a truncated or
+        Loaded through ``SnapshotStore.load``, so a truncated or
         corrupted snapshot fails here with a clear error instead of
         silently training from garbage.
         """
         if self.config.warm_start_snapshot is None:
             return None
         if self._warm_start is None:
-            _states, default = load_bank_states(
-                self.config.warm_start_snapshot, require_checksum=True
-            )
+            default = SnapshotStore().load(
+                self.config.warm_start_snapshot
+            ).default_state
             if default is None:
                 raise ConfigError(
-                    f"warm-start archive {self.config.warm_start_snapshot!r} "
+                    f"warm-start snapshot {self.config.warm_start_snapshot!r} "
                     "has no default (shared) state"
                 )
             self._warm_start = default

@@ -31,7 +31,7 @@ from repro.core import (
 from repro.core.selection import BestTracker, PerDomainTracker, model_split_auc
 from repro.distributed import SimulatedCluster
 from repro.models import build_model
-from repro.nn.serialization import state_checksum
+from repro.nn.state import state_checksum
 from repro.online import EventStream, IncrementalTrainer, StreamConfig
 from repro.utils.seeding import spawn_rng, stable_seed
 

@@ -16,8 +16,6 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,13 +29,15 @@ from repro.data.columnar import (
     ColumnarWriter,
     Extent,
     RamInteractionStore,
+    SerializationError,
     dataset_from_store,
     open_dataset,
+    read_arrays,
+    write_arrays,
     write_dataset,
 )
 from repro.data.schema import InteractionTable
 from repro.data.splits import temporal_split
-from repro.nn.serialization import SerializationError
 from repro.utils.seeding import spawn_rng
 
 from tests.conftest import make_tiny_dataset
@@ -184,13 +184,36 @@ class TestWriter:
 
     def test_abort_on_error_leaves_no_files(self, tmp_path):
         path = tmp_path / "broken.col"
-        with pytest.raises(RuntimeError, match="boom"):
-            with ColumnarWriter(path, DATASET_COLUMNS) as writer:
-                writer.new_extent(index=0, split="train")
-                writer.append(users=[1], items=[2], labels=[1.0])
-                raise RuntimeError("boom")
+
+        def write_and_fail():
+            with pytest.raises(RuntimeError, match="boom"):
+                with ColumnarWriter(path, DATASET_COLUMNS) as writer:
+                    writer.new_extent(index=0, split="train")
+                    writer.append(users=[1], items=[2], labels=[1.0])
+                    raise RuntimeError("boom")
+
+        write_and_fail()
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []  # spill dir cleaned up
+
+        # An aborted writer never touches a file already at ``path``.
+        write_arrays(path, {"w": np.arange(3.0)}, kind="keep")
+        before = path.read_bytes()
+        write_and_fail()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]  # no spill, no .tmp
+
+    def test_failed_finalize_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "w.col"
+        write_arrays(path, {"w": np.arange(3.0)}, kind="keep")
+        before = path.read_bytes()
+        writer = ColumnarWriter(path, DATASET_COLUMNS, meta={"x": object()})
+        writer.new_extent(index=0, split="train")
+        writer.append(users=[1], items=[2], labels=[1.0])
+        with pytest.raises(TypeError):   # the header is not JSON-able
+            writer.finalize()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_finalize_twice_rejected(self, tmp_path):
         writer = ColumnarWriter(tmp_path / "w.col", DATASET_COLUMNS)
@@ -199,6 +222,39 @@ class TestWriter:
         writer.finalize()
         with pytest.raises(ValueError, match="finalized"):
             writer.finalize()
+
+
+class TestArrays:
+    """``write_arrays`` / ``read_arrays``: the same container, any shape."""
+
+    def test_round_trip_any_shape_and_dtype(self, tmp_path):
+        arrays = {
+            "matrix": np.arange(12.0).reshape(3, 4),
+            "scalar": np.asarray(7),
+            "empty": np.zeros((0, 5), dtype=np.float32),
+            "flags": np.array([True, False, True]),
+            "strided": np.arange(10)[::3],
+        }
+        path = tmp_path / "a.rp"
+        write_arrays(path, arrays, kind="test", meta={"epoch": 3})
+        loaded, meta = read_arrays(path, kind="test")
+        assert meta == {"epoch": 3}
+        assert list(loaded) == list(arrays)
+        for name, value in arrays.items():
+            assert loaded[name].dtype == value.dtype
+            assert loaded[name].shape == value.shape
+            np.testing.assert_array_equal(loaded[name], value)
+            assert loaded[name].flags.writeable
+
+    def test_sections_without_shape_read_as_columns(self, tiny, tmp_path):
+        """Files written before sections carried a shape still open."""
+        path = tmp_path / "ds.col"
+        write_dataset(path, tiny)
+        columns, _ = read_arrays(path, kind="dataset")
+        ram = RamInteractionStore.pack_dataset(tiny)
+        for name in ("users", "items", "labels"):
+            assert columns[name].ndim == 1
+            np.testing.assert_array_equal(columns[name], ram.column(name))
 
 
 class TestStoreProtocol:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import TrainConfig
+from repro.data.columnar import SerializationError, write_arrays
 from repro.distributed import (
     ParameterServer,
     SimulatedCluster,
@@ -14,7 +15,7 @@ from repro.distributed import (
 )
 from repro.distributed.worker import embedding_parameter_names
 from repro.models import build_model
-from repro.nn.serialization import SerializationError, save_state, state_checksum
+from repro.nn.state import state_checksum
 
 
 def build_factory(dataset):
@@ -34,7 +35,7 @@ def test_checkpoint_roundtrip(tiny_dataset, tmp_path):
     )
     name = next(iter(ps.pull_dense()))
     ps.push_delta({name: np.ones_like(ps.full_state()[name])}, {})
-    path = tmp_path / "ckpt.npz"
+    path = tmp_path / "ckpt.rp"
     save_checkpoint(path, ps, epoch=3)
     ckpt = load_checkpoint(path)
     assert ckpt.epoch == 3
@@ -53,19 +54,27 @@ def test_checkpoint_roundtrip(tiny_dataset, tmp_path):
 def test_corrupt_archive_rejected(tiny_dataset, tmp_path):
     model = build_model("mlp", tiny_dataset, seed=0)
     ps = ParameterServer(model.state_dict())
-    path = tmp_path / "ckpt.npz"
+    path = tmp_path / "ckpt.rp"
     save_checkpoint(path, ps, epoch=1)
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
-    with pytest.raises((SerializationError, Exception)):
+    with pytest.raises(SerializationError, match="checksum"):
         load_checkpoint(path)
 
 
 def test_non_checkpoint_archive_rejected(tiny_dataset, tmp_path):
-    path = tmp_path / "other.npz"
-    save_state(path, {"weights": np.zeros(3)})
-    with pytest.raises(SerializationError, match="not a cluster checkpoint"):
+    path = tmp_path / "other.rp"
+    write_arrays(path, {"weights": np.zeros(3)}, kind="snapshot")
+    with pytest.raises(SerializationError, match="not a 'checkpoint'"):
+        load_checkpoint(path)
+
+
+def test_unrecognized_key_rejected(tmp_path):
+    path = tmp_path / "rogue.rp"
+    write_arrays(path, {"rogue/w": np.zeros(3)}, kind="checkpoint",
+                 meta={"epoch": 1, "version": 0})
+    with pytest.raises(SerializationError, match="unrecognized key"):
         load_checkpoint(path)
 
 
@@ -89,7 +98,7 @@ def test_resume_is_byte_identical(mode, outer, tiny_dataset, tmp_path):
     full = SimulatedCluster(n_workers=2, mode=mode, outer_optimizer=outer)
     bank_full = full.run(factory, tiny_dataset, RESUME_CONFIG, seed=1)
 
-    path = tmp_path / "ckpt.npz"
+    path = tmp_path / "ckpt.rp"
     writer = SimulatedCluster(n_workers=2, mode=mode, outer_optimizer=outer,
                               checkpoint_path=str(path), checkpoint_every=2)
     writer.run(factory, tiny_dataset, RESUME_CONFIG, seed=1)
@@ -113,7 +122,7 @@ def test_resume_requires_a_path(tiny_dataset):
 def test_checkpoint_not_written_for_final_epoch(tiny_dataset, tmp_path):
     """The guard skips a checkpoint that would only capture the finished
     run — resume from it would train zero epochs."""
-    path = tmp_path / "ckpt.npz"
+    path = tmp_path / "ckpt.rp"
     cluster = SimulatedCluster(n_workers=2, checkpoint_path=str(path),
                                checkpoint_every=2)
     cluster.run(build_factory(tiny_dataset), tiny_dataset,

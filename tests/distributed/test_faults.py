@@ -14,7 +14,7 @@ from repro.distributed import FaultPlan, ParameterServer, SimulatedCluster
 from repro.distributed.worker import embedding_parameter_names
 from repro.metrics import evaluate_bank
 from repro.models import build_model
-from repro.nn.serialization import state_checksum
+from repro.nn.state import state_checksum
 
 
 def build_factory(dataset):

@@ -1,28 +1,34 @@
-"""Persistence of states and per-domain banks."""
+"""Persistence of states and per-domain banks through the ``RPROCOL1``
+container (:func:`repro.data.columnar.write_arrays`, ``SnapshotStore``)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.data.columnar import SerializationError, read_arrays, write_arrays
 from repro.models import build_model
-from repro.nn import (
-    SerializationError,
-    load_bank_states,
-    load_state,
-    save_bank_states,
-    save_state,
-    state_checksum,
-)
-from repro.nn.state import state_allclose, state_scale
+from repro.nn.state import state_allclose, state_checksum, state_scale
+from repro.serving import SnapshotStore
+
+
+def _save_bank(path, domain_states, default_state=None):
+    store = SnapshotStore()
+    store.publish_states(domain_states, default_state=default_state)
+    store.save(path)
+
+
+def _load_bank(path):
+    snapshot = SnapshotStore().load(path)
+    return snapshot.states, snapshot.default_state
 
 
 def test_state_round_trip(tmp_path, tiny_dataset):
     model = build_model("mlp", tiny_dataset, seed=0)
     state = model.state_dict()
-    path = tmp_path / "state.npz"
-    save_state(path, state)
-    loaded = load_state(path)
+    path = tmp_path / "state.rp"
+    write_arrays(path, state, kind="state")
+    loaded, _ = read_arrays(path, kind="state")
     assert state_allclose(state, loaded)
     # loading into a fresh model works
     other = build_model("mlp", tiny_dataset, seed=99)
@@ -34,9 +40,9 @@ def test_bank_round_trip(tmp_path, tiny_dataset):
     model = build_model("mlp", tiny_dataset, seed=0)
     base = model.state_dict()
     domain_states = {0: base, 2: state_scale(base, 2.0)}
-    path = tmp_path / "bank.npz"
-    save_bank_states(path, domain_states, default_state=base)
-    loaded_states, loaded_default = load_bank_states(path)
+    path = tmp_path / "bank.rp"
+    _save_bank(path, domain_states, default_state=base)
+    loaded_states, loaded_default = _load_bank(path)
     assert set(loaded_states) == {0, 2}
     assert state_allclose(loaded_states[2], state_scale(base, 2.0))
     assert state_allclose(loaded_default, base)
@@ -44,24 +50,18 @@ def test_bank_round_trip(tmp_path, tiny_dataset):
 
 def test_bank_without_default(tmp_path, tiny_dataset):
     model = build_model("mlp", tiny_dataset, seed=0)
-    path = tmp_path / "bank.npz"
-    save_bank_states(path, {1: model.state_dict()})
-    states, default = load_bank_states(path)
+    path = tmp_path / "bank.rp"
+    _save_bank(path, {1: model.state_dict()})
+    states, default = _load_bank(path)
     assert default is None
     assert set(states) == {1}
 
 
 def test_empty_bank_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        save_bank_states(tmp_path / "x.npz", {})
-
-
-def _rewrite_archive(path, mutate):
-    """Load an archive's raw keys, apply ``mutate``, and write it back."""
-    with np.load(path) as archive:
-        payload = {k: archive[k].copy() for k in archive.files}
-    mutate(payload)
-    np.savez(path, **payload)
+    path = tmp_path / "x.rp"
+    with pytest.raises(LookupError):
+        SnapshotStore().save(path)
+    assert not path.exists()
 
 
 def test_checksum_is_order_independent_and_value_sensitive():
@@ -75,97 +75,66 @@ def test_checksum_is_order_independent_and_value_sensitive():
     assert state_checksum(a) != state_checksum(d)
 
 
+def _edit(path, edit):
+    """Apply ``edit`` to the file's raw bytes in place."""
+    data = bytearray(path.read_bytes())
+    edit(data)
+    path.write_bytes(bytes(data))
+
+
 def test_load_rejects_bitflipped_payload(tmp_path):
-    path = tmp_path / "state.npz"
-    save_state(path, {"w": np.arange(6.0)})
+    path = tmp_path / "state.rp"
+    write_arrays(path, {"w": np.arange(6.0)}, kind="state")
 
-    def flip(payload):
-        payload["w"][3] += 1e-9
+    def flip(data):
+        data[64 + 3 * 8] ^= 0x01     # one bit of w[3]
 
-    _rewrite_archive(path, flip)
+    _edit(path, flip)
     with pytest.raises(SerializationError, match="checksum"):
-        load_state(path)
+        read_arrays(path, kind="state")
 
 
 def test_load_rejects_renamed_key(tmp_path):
-    path = tmp_path / "state.npz"
-    save_state(path, {"w": np.arange(6.0)})
+    path = tmp_path / "state.rp"
+    write_arrays(path, {"w": np.arange(6.0)}, kind="state")
 
-    def rename(payload):
-        payload["v"] = payload.pop("w")
+    def rename(data):
+        at = data.index(b'"name": "w"')
+        data[at:at + 11] = b'"name": "v"'
 
-    _rewrite_archive(path, rename)
+    _edit(path, rename)
     with pytest.raises(SerializationError, match="checksum"):
-        load_state(path)
+        read_arrays(path, kind="state")
 
 
 def test_load_rejects_malformed_header(tmp_path):
-    path = tmp_path / "state.npz"
-    save_state(path, {"w": np.arange(6.0)})
+    path = tmp_path / "state.rp"
+    write_arrays(path, {"w": np.arange(6.0)}, kind="state")
 
-    def garble(payload):
-        payload["__repro_meta__"] = np.array("not json{")
+    def garble(data):
+        data[-9:] = b"not json{"
 
-    _rewrite_archive(path, garble)
-    with pytest.raises(SerializationError, match="malformed"):
-        load_state(path)
-
-
-def test_load_rejects_newer_format_version(tmp_path):
-    import json
-
-    path = tmp_path / "state.npz"
-    save_state(path, {"w": np.arange(6.0)})
-
-    def bump(payload):
-        meta = json.loads(str(payload["__repro_meta__"][()]))
-        meta["format_version"] = 99
-        payload["__repro_meta__"] = np.array(json.dumps(meta))
-
-    _rewrite_archive(path, bump)
-    with pytest.raises(SerializationError, match="format version 99"):
-        load_state(path)
-
-
-def test_legacy_headerless_archive_still_loads(tmp_path):
-    """Pre-header archives load by default, but require_checksum rejects."""
-    path = tmp_path / "legacy.npz"
-    np.savez(path, w=np.arange(6.0))
-    loaded = load_state(path)
-    np.testing.assert_array_equal(loaded["w"], np.arange(6.0))
+    _edit(path, garble)
     with pytest.raises(SerializationError, match="header"):
-        load_state(path, require_checksum=True)
+        read_arrays(path, kind="state")
+
+
+def test_load_rejects_newer_format_version(tmp_path, monkeypatch):
+    import repro.data.columnar as columnar
+
+    path = tmp_path / "state.rp"
+    monkeypatch.setattr(columnar, "COLUMNAR_FORMAT_VERSION", 99)
+    write_arrays(path, {"w": np.arange(6.0)}, kind="state")
+    monkeypatch.undo()
+    with pytest.raises(SerializationError, match="format version 99"):
+        read_arrays(path, kind="state")
 
 
 def test_load_unreadable_file_raises_serialization_error(tmp_path):
-    path = tmp_path / "broken.npz"
-    path.write_bytes(b"this is not a zip archive")
-    with pytest.raises(SerializationError, match="cannot read"):
-        load_state(path)
-
-
-def test_bank_rejects_unrecognized_keys(tmp_path):
-    path = tmp_path / "bank.npz"
-    save_bank_states(path, {0: {"w": np.arange(3.0)}})
-
-    def smuggle(payload):
-        meta = payload.pop("__repro_meta__")
-        payload["rogue/w"] = np.zeros(3)
-        # keep the header consistent so only the key check fires
-        from repro.nn.serialization import FORMAT_VERSION
-        import json
-
-        payload["__repro_meta__"] = np.array(json.dumps({
-            "format_version": FORMAT_VERSION,
-            "checksum": state_checksum(
-                {k: v for k, v in payload.items() if k != "__repro_meta__"}
-            ),
-        }))
-        del meta
-
-    _rewrite_archive(path, smuggle)
-    with pytest.raises(SerializationError, match="unrecognized key"):
-        load_bank_states(path)
+    path = tmp_path / "broken.rp"
+    path.write_bytes(b"this is not a columnar file" * 4)
+    with pytest.raises(SerializationError, match="bad magic"):
+        read_arrays(path, kind="state")
 
 
 def test_serialization_error_is_a_value_error():
@@ -174,18 +143,18 @@ def test_serialization_error_is_a_value_error():
 
 
 def test_serving_from_reloaded_bank(tmp_path, tiny_dataset, fast_config):
-    """A trained StateBank survives a save/load round trip with identical
-    predictions — the deployment path of Figure 2."""
+    """A trained StateBank survives a snapshot save/load round trip with
+    identical predictions — the deployment path of Figure 2."""
     from repro.core import MAMDR
     from repro.data import sample_batch
     from repro.frameworks import StateBank
 
     model = build_model("mlp", tiny_dataset, seed=0)
     bank = MAMDR().fit(model, tiny_dataset, fast_config, seed=0)
-    path = tmp_path / "deploy.npz"
-    save_bank_states(path, bank.domain_states, default_state=bank.default_state)
+    path = tmp_path / "deploy.rp"
+    _save_bank(path, bank.domain_states, default_state=bank.default_state)
 
-    states, default = load_bank_states(path)
+    states, default = _load_bank(path)
     model2 = build_model("mlp", tiny_dataset, seed=123)
     bank2 = StateBank(model2, states, default_state=default)
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data.columnar import write_dataset
-from repro.nn.serialization import SerializationError
+from repro.data.columnar import SerializationError, write_dataset
 from repro.online import IncrementalTrainer
 from repro.online.stream import EventStream, StreamArchive, write_stream
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import DomainParameterSpace
 from repro.models import build_model
-from repro.nn import SerializationError
+from repro.data.columnar import SerializationError
 from repro.nn.state import state_allclose, zeros_like_state
 from repro.serving import SnapshotStore
 
@@ -115,7 +115,7 @@ def test_current_before_publish_raises():
 def test_save_load_round_trip(tmp_path, space):
     store = SnapshotStore()
     store.publish(space)
-    path = tmp_path / "snapshot.npz"
+    path = tmp_path / "snapshot.rp"
     store.save(path)
     fresh = SnapshotStore()
     loaded = fresh.load(path)
@@ -123,22 +123,21 @@ def test_save_load_round_trip(tmp_path, space):
         assert state_allclose(
             dict(loaded.state_for(domain)), dict(space.combined(domain))
         )
-    # value-equality COW on load: zero-delta domains alias the default.
+    # COW survives the file: zero-delta domains alias the default.
     shared = loaded.default_state
     assert all(v is shared[n] for n, v in loaded.state_for(0).items())
+    assert all(not v.flags.writeable for v in shared.values())
 
 
 def test_load_rejects_corrupt_archive(tmp_path, space):
     store = SnapshotStore()
     store.publish(space)
-    path = tmp_path / "snapshot.npz"
+    path = tmp_path / "snapshot.rp"
     store.save(path)
-    # Forge a tampered archive: same keys, one array changed, stale header.
-    with np.load(path) as archive:
-        payload = {k: archive[k].copy() for k in archive.files}
-    victim = next(k for k in payload if k != "__repro_meta__")
-    payload[victim] = payload[victim] + 1e-3
-    np.savez(path, **payload)
+    # Tamper with one payload byte; the header's digests go stale.
+    data = bytearray(path.read_bytes())
+    data[64] ^= 0x10
+    path.write_bytes(bytes(data))
     with pytest.raises(SerializationError, match="checksum"):
         SnapshotStore().load(path)
 
@@ -146,14 +145,15 @@ def test_load_rejects_corrupt_archive(tmp_path, space):
 def test_load_requires_integrity_header(tmp_path, space):
     store = SnapshotStore()
     store.publish(space)
-    path = tmp_path / "snapshot.npz"
+    path = tmp_path / "snapshot.rp"
     store.save(path)
-    with np.load(path) as archive:
-        payload = {
-            k: archive[k].copy() for k in archive.files
-            if k != "__repro_meta__"
-        }
-    np.savez(path, **payload)
+    # Strip the header (the file's tail) and restate the preamble's
+    # size so the file looks whole: the header digest still refuses it.
+    data = bytearray(path.read_bytes())
+    header_offset = int.from_bytes(data[8:16], "little")
+    del data[header_offset:]
+    data[16:24] = (0).to_bytes(8, "little")
+    path.write_bytes(bytes(data))
     with pytest.raises(SerializationError, match="header"):
         SnapshotStore().load(path)
 

@@ -11,7 +11,7 @@ from repro.distributed import FaultPlan, RetryPolicy, SimulatedCluster
 from repro.frameworks import framework_by_name
 from repro.metrics import evaluate_bank
 from repro.models import build_model
-from repro.nn.serialization import state_checksum
+from repro.nn.state import state_checksum
 from repro.train import DistributedConfig, Session, SessionConfig
 
 
@@ -189,7 +189,7 @@ def test_config_errors_are_one_catchable_type():
 def test_online_and_warm_start_round_trip(tmp_path):
     config = SessionConfig(
         model="mlp", seed=5,
-        warm_start_snapshot="artifacts/day0.npz",
+        warm_start_snapshot="artifacts/day0.rp",
         online={"bootstrap_windows": 2,
                 "stream": {"n_windows": 6, "drift_rate": 0.1}},
     )
@@ -197,7 +197,7 @@ def test_online_and_warm_start_round_trip(tmp_path):
     path.write_text(json.dumps(config.to_dict()))
     loaded = SessionConfig.from_file(path)
     assert loaded == config
-    assert loaded.warm_start_snapshot == "artifacts/day0.npz"
+    assert loaded.warm_start_snapshot == "artifacts/day0.rp"
     assert loaded.online["stream"]["drift_rate"] == 0.1
     # defaults stay None and survive the round trip too
     bare = SessionConfig.from_dict(json.loads(
@@ -208,12 +208,14 @@ def test_online_and_warm_start_round_trip(tmp_path):
 
 def test_warm_start_snapshot_seeds_the_model(tiny_dataset, fast_config,
                                              tmp_path):
-    from repro.nn.serialization import save_bank_states
+    from repro.serving import SnapshotStore
 
     trained = build_model("mlp", tiny_dataset, seed=0)
     state = {n: v + 0.5 for n, v in trained.state_dict().items()}
-    path = tmp_path / "day0.npz"
-    save_bank_states(path, {}, default_state=state)
+    path = tmp_path / "day0.rp"
+    store = SnapshotStore()
+    store.publish_states({}, default_state=state)
+    store.save(path)
 
     session = Session(
         SessionConfig(dataset=tiny_dataset.name, model="mlp", seed=0,
@@ -226,12 +228,14 @@ def test_warm_start_snapshot_seeds_the_model(tiny_dataset, fast_config,
 
 def test_warm_start_archive_without_default_state_rejected(tiny_dataset,
                                                            tmp_path):
-    from repro.nn.serialization import save_bank_states
+    from repro.serving import SnapshotStore
     from repro.train import ConfigError
 
     trained = build_model("mlp", tiny_dataset, seed=0)
-    path = tmp_path / "bank.npz"
-    save_bank_states(path, {0: trained.state_dict()})
+    path = tmp_path / "bank.rp"
+    store = SnapshotStore()
+    store.publish_states({0: trained.state_dict()})
+    store.save(path)
     session = Session(
         SessionConfig(dataset=tiny_dataset.name, model="mlp",
                       warm_start_snapshot=str(path)),
