@@ -5,17 +5,14 @@ the unified MAMDR framework (Algorithm 3), plus the shared/specific
 parameter plane (Eq. 4) and the training configuration.
 
 The parameter plane is the documented front door for anything touching
-per-domain parameters: the :class:`DomainParamStore` protocol with its
-two backends — :class:`DenseDomainStore` (one explicit delta per domain,
-the default) and :class:`ClusteredDomainStore` (tail domains share a
-cluster-level delta; scales the domain axis to 10k-50k) — wrapped by the
-:class:`DomainParameterSpace` façade.  Cluster plans come from
-:mod:`repro.core.clustering` (:func:`plan_clusters`).  Reaching into raw
-per-domain delta dicts outside ``param_space.py`` is rejected by the
-``theta-dict-access`` lint rule.
+per-domain parameters: one :class:`DomainParameterSpace` whose delta
+plane is laid out by a :class:`ClusterPlan` — the identity plan (one
+delta per domain) by default, or a plan from :func:`plan_clusters`
+(:mod:`repro.core.clustering`) in which tail domains share a
+cluster-level delta, scaling the domain axis to 10k-50k.
 """
 
-from .clustering import domain_features, identity_plan, kmeans, plan_clusters
+from .clustering import domain_features, kmeans, plan_clusters
 from .config import TrainConfig
 from .mamdr import MAMDR, mamdr_epoch, train_space
 from .onboarding import extend_bank, onboard_domain
@@ -26,11 +23,8 @@ from .negotiation import (
     negotiate_shared,
 )
 from .param_space import (
-    ClusteredDomainStore,
     ClusterPlan,
-    DenseDomainStore,
     DomainGroup,
-    DomainParamStore,
     DomainParameterSpace,
     live_state_view,
 )
@@ -65,17 +59,13 @@ __all__ = [
     "domain_regularization_round",
     "regularize_groups",
     "sample_helper_domains",
-    # the parameter plane (Eq. 4) and its storage protocol
+    # the parameter plane (Eq. 4) and its layout
     "DomainParameterSpace",
-    "DomainParamStore",
-    "DenseDomainStore",
-    "ClusteredDomainStore",
     "ClusterPlan",
     "DomainGroup",
     "live_state_view",
     # domain clustering
     "plan_clusters",
-    "identity_plan",
     "domain_features",
     "kmeans",
     # model selection + evaluation

@@ -1,7 +1,7 @@
 """Distribution-similarity clustering of domains (seeded, deterministic).
 
-Builds the :class:`~repro.core.param_space.ClusterPlan` that the
-clustered-sharded parameter backend trains and serves through.  The
+Builds the :class:`~repro.core.param_space.ClusterPlan` that a
+clustered parameter space trains and serves through.  The
 grouping follows AdaptDHM's observation that huge domain counts become
 tractable when training happens at *cluster* granularity: domains whose
 data distributions agree share one cluster-level delta, and only the
@@ -39,7 +39,6 @@ __all__ = [
     "domain_features",
     "kmeans",
     "plan_clusters",
-    "identity_plan",
 ]
 
 _HIST_BINS = 8
@@ -194,11 +193,4 @@ def plan_clusters(dataset, n_clusters, seed=0, head_fraction=0.02,
     heads = frozenset(
         d for d in order[:head_count] if sizes[d] >= head_min_samples
     )
-    return ClusterPlan(
-        assignments=assignments, n_clusters=n_found, head_domains=heads,
-    )
-
-
-def identity_plan(n_domains):
-    """Every domain its own cluster — the dense layout as a plan."""
-    return ClusterPlan.identity(n_domains)
+    return ClusterPlan(assignments, n_found, heads)

@@ -33,16 +33,15 @@ def mamdr_epoch(model, view, groups, space, config, rng, optimizer):
     regularize_groups(model, view, groups, space, config, rng)
 
 
-def train_space(model, dataset, config, rng, store=None):
+def train_space(model, dataset, config, rng):
     """``config.epochs`` of :func:`mamdr_epoch` from ``model``'s current
     state; returns the live :class:`DomainParameterSpace`.
 
     ``MAMDR.fit`` returns the best-checkpoint bank; callers that publish
     or keep training need the space itself (θ_S + deltas).  One DN inner
-    optimizer lives for the whole run; ``store`` selects the parameter
-    backend as in :class:`MAMDR`.
+    optimizer lives for the whole run.
     """
-    space = DomainParameterSpace(model, dataset.n_domains, store=store)
+    space = DomainParameterSpace(model, dataset.n_domains)
     view, groups = space.training_plan(dataset)
     optimizer = make_inner_optimizer(model, config)
     for _ in range(config.epochs):
@@ -59,18 +58,18 @@ class MAMDR(LearningFramework):
     * ``use_dr=False`` drops the specific deltas entirely (serving uses
       θ_S for every domain).
 
-    ``store`` selects the parameter backend: ``None`` keeps the dense
-    per-domain layout (bitwise-identical to the historical behaviour); a
-    ``DomainParamStore`` factory — e.g. ``lambda shared:
-    ClusteredDomainStore(shared, plan)`` — gates the DN/DR outer loops by
-    delta-sharing group instead of by domain, which is what makes
-    10k-50k domains tractable.
+    ``plan`` lays out the parameter space (see
+    :class:`~repro.core.param_space.DomainParameterSpace`): ``None`` keeps
+    one delta per domain; a :class:`~repro.core.param_space.ClusterPlan`
+    from :func:`~repro.core.clustering.plan_clusters` gates the DN/DR
+    outer loops by delta-sharing group instead of by domain, which is
+    what makes 10k-50k domains tractable.
     """
 
-    def __init__(self, use_dn=True, use_dr=True, store=None):
+    def __init__(self, use_dn=True, use_dr=True, plan=None):
         self.use_dn = use_dn
         self.use_dr = use_dr
-        self.store = store
+        self.plan = plan
 
     @property
     def name(self):
@@ -85,9 +84,9 @@ class MAMDR(LearningFramework):
     def fit(self, model, dataset, config, seed=0):
         rng = spawn_rng(seed, "mamdr", dataset.name, self.use_dn, self.use_dr)
         space = DomainParameterSpace(model, dataset.n_domains,
-                                     store=self.store)
-        # DN/DR iterate the store's delta-sharing units: per domain for
-        # the dense backend, per cluster (+ heads) for the clustered one.
+                                     plan=self.plan)
+        # DN/DR iterate the plan's delta-sharing units: per domain for
+        # the identity plan, per cluster (+ heads) for a clustered one.
         view, groups = space.training_plan(dataset)
         # With DR the deployment artifact is per-domain (Θ_i = θ_S + θ_i), so
         # each domain selects its best checkpoint independently, like the

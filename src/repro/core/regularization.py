@@ -45,7 +45,7 @@ def domain_regularization_round(model, dataset, space, target, config, rng,
     ``target`` indexes a domain of ``dataset`` — which may be a cluster
     *view* from ``space.training_plan``, in which case pass the group's
     trainable delta via ``delta`` (the default reads the per-domain
-    delta, which is only correct when dataset domains and store domains
+    delta, which is only correct when dataset domains and space domains
     coincide).
     """
     # Own the accumulator once, then apply every helper's Eq. 8 step in
@@ -79,8 +79,8 @@ def regularize_groups(model, view, groups, space, config, rng):
     """Algorithm 2's sweep: one DR round per delta-sharing group, in order.
 
     ``view, groups`` come from ``space.training_plan(dataset)`` —
-    ``groups[i]`` trains on ``view.domain(i)`` — so the dense backend
-    visits every domain and the clustered one every cluster and head.
+    ``groups[i]`` trains on ``view.domain(i)`` — so the identity plan
+    visits every domain and a clustered one every cluster and head.
     Each group's new delta is written back to ``space`` before the next
     group's round starts.
     """
@@ -101,13 +101,9 @@ class DomainRegularization(LearningFramework):
 
     name = "DR"
 
-    def __init__(self, store=None):
-        self.store = store
-
     def fit(self, model, dataset, config, seed=0):
         rng = spawn_rng(seed, "dr", dataset.name)
-        space = DomainParameterSpace(model, dataset.n_domains,
-                                     store=self.store)
+        space = DomainParameterSpace(model, dataset.n_domains)
         view, groups = space.training_plan(dataset)
         tracker = PerDomainTracker(dataset.n_domains)
         optimizer = make_inner_optimizer(model, config)

@@ -32,10 +32,9 @@ binary format and opened via one read-only ``mmap``:
   fsync'd and renamed over ``path``, so a writer killed at any point
   leaves the previous file intact.
 
-Storage-vs-semantics is split exactly like PR 9's ``DomainParamStore``:
-:class:`InteractionStore` is the protocol, :class:`RamInteractionStore`
-(packed in-memory columns) and :class:`ColumnarStore` (memory-mapped
-file) are the backends, and :func:`dataset_from_store` rebuilds the
+Storage-vs-semantics is split: :class:`InteractionStore` is the
+protocol, :class:`RamInteractionStore` (packed in-memory columns) and
+:class:`ColumnarStore` (memory-mapped file) are the backends, and :func:`dataset_from_store` rebuilds the
 ordinary :class:`~repro.data.schema.MultiDomainDataset` /
 :class:`~repro.data.schema.Domain` / ``InteractionTable`` surface on top
 — every existing split/sampling/batching consumer runs unchanged on
@@ -147,9 +146,9 @@ class Extent:
 class InteractionStore:
     """Backend protocol for columnar interaction storage.
 
-    Mirrors the ``DomainParamStore`` split (PR 9): consumers see columns,
-    extents and zero-copy range views; whether the bytes live in RAM or
-    in a memory-mapped file is the backend's business.  Subclasses
+    Consumers see columns, extents and zero-copy range views; whether
+    the bytes live in RAM or in a memory-mapped file is the backend's
+    business.  Subclasses
     populate :attr:`columns` (``{name: full-length ndarray}``) and
     :attr:`extents`, and may override :meth:`release` / :meth:`close`.
     """

@@ -53,46 +53,22 @@ from .worker import Worker, embedding_field_map, embedding_parameter_names
 __all__ = ["SimulatedCluster", "shard_domains", "reassign_domains"]
 
 
-def shard_domains(dataset, n_workers, clusters=None):
+def shard_domains(dataset, n_workers):
     """Greedy balanced sharding: heaviest domains to the lightest worker.
 
     Deterministic throughout: domains are ordered by (size desc, index
     asc) — the explicit index tie-break keeps equal-size domains stable —
     and load ties go to the lowest-indexed worker.
-
-    With ``clusters`` (a :class:`~repro.core.param_space.ClusterPlan`) the
-    unit of placement becomes the *cluster*: all domains sharing a
-    cluster-level delta land on the same worker (heaviest cluster first,
-    to the lightest worker), so cluster-gated DR never needs a
-    cross-worker delta merge.  Within a shard, a cluster's members keep
-    the (size desc, index asc) order.
     """
     if n_workers <= 0:
         raise ValueError("need at least one worker")
     shards = [[] for _ in range(n_workers)]
     loads = [0] * n_workers
     by_size = sorted(dataset.domains, key=lambda d: (-len(d.train), d.index))
-    if clusters is None:
-        units = [((domain.index,), len(domain.train)) for domain in by_size]
-    else:
-        members = {}
-        for domain in by_size:
-            cluster = clusters.cluster_of(domain.index)
-            members.setdefault(cluster, []).append(domain)
-        units = sorted(
-            (
-                (
-                    tuple(d.index for d in group),
-                    sum(len(d.train) for d in group),
-                )
-                for group in members.values()
-            ),
-            key=lambda unit: (-unit[1], unit[0]),
-        )
-    for indices, load in units:
+    for domain in by_size:
         lightest = loads.index(min(loads))
-        shards[lightest].extend(indices)
-        loads[lightest] += load
+        shards[lightest].append(domain.index)
+        loads[lightest] += len(domain.train)
     return shards
 
 
@@ -177,24 +153,20 @@ class SimulatedCluster:
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
-    def run(self, model_factory, dataset, config, seed=0, use_dr=False,
-            store=None, clusters=None):
+    def run(self, model_factory, dataset, config, seed=0, use_dr=False):
         """Train on the cluster; returns a deployable model bank.
 
         ``model_factory(worker_id) -> model`` builds one replica per worker
         plus the driver's evaluation replica (worker_id ``"driver"``).  With
         ``use_dr=True`` the driver additionally trains per-domain specific
-        deltas with DR on top of the PS shared state (full MAMDR).
-        ``store`` selects the driver-side parameter backend (see
-        :class:`~repro.core.param_space.DomainParameterSpace`); ``clusters``
-        (a ``ClusterPlan``) additionally shards whole clusters so
-        delta-sharing domains stay co-located.
+        deltas with DR on top of the PS shared state (full MAMDR), one
+        delta per domain in a
+        :class:`~repro.core.param_space.DomainParameterSpace`.
         """
         rng = spawn_rng(seed, "cluster", dataset.name)
         return self._execute(model_factory, dataset, config, rng,
                              use_dr=use_dr, start_epoch=0,
-                             tracker=BestTracker(), store=store,
-                             clusters=clusters)
+                             tracker=BestTracker())
 
     def resume(self, model_factory, dataset, config, use_dr=False,
                checkpoint_path=None):
@@ -216,14 +188,13 @@ class SimulatedCluster:
         profiling.count("cluster.resume")
         return self._execute(model_factory, dataset, config, rng,
                              use_dr=use_dr, start_epoch=ckpt.epoch,
-                             tracker=tracker, restore=ckpt)
+                             tracker=tracker, ckpt=ckpt)
 
     # ------------------------------------------------------------------
     # Driver loop
     # ------------------------------------------------------------------
     def _execute(self, model_factory, dataset, config, rng, use_dr,
-                 start_epoch, tracker, restore=None, store=None,
-                 clusters=None):
+                 start_epoch, tracker, ckpt=None):
         driver_model = model_factory("driver")
         embedding_names = embedding_parameter_names(driver_model)
         self.clock = VirtualClock()
@@ -239,10 +210,9 @@ class SimulatedCluster:
             outer_optimizer=self.outer_optimizer,
             max_staleness=self.max_staleness,
         )
-        if restore is not None:
-            self.ps.restore(restore.state, restore.version,
-                            restore.optimizer_slots)
-        shards = shard_domains(dataset, self.n_workers, clusters=clusters)
+        if ckpt is not None:
+            self.ps.restore(ckpt.state, ckpt.version, ckpt.optimizer_slots)
+        shards = shard_domains(dataset, self.n_workers)
         field_map = embedding_field_map(driver_model) if embedding_names else {}
         self.workers = [
             Worker(i, model_factory(i), shard,
@@ -250,14 +220,14 @@ class SimulatedCluster:
                    field_map=field_map)
             for i, shard in enumerate(shards) if shard
         ]
-        if restore is not None:
-            restore_module_rngs(driver_model, restore.driver_rngs)
+        if ckpt is not None:
+            restore_module_rngs(driver_model, ckpt.driver_rngs)
             for worker in self.workers:
-                slots = restore.worker_slots.get(worker.worker_id)
+                slots = ckpt.worker_slots.get(worker.worker_id)
                 if slots:
                     worker.optimizer.load_state_slots(slots)
                 restore_module_rngs(
-                    worker.model, restore.worker_rngs.get(worker.worker_id)
+                    worker.model, ckpt.worker_rngs.get(worker.worker_id)
                 )
 
         for epoch in range(start_epoch, config.epochs):
@@ -284,9 +254,8 @@ class SimulatedCluster:
             return SingleModelBank(driver_model)
 
         # Full MAMDR: DR for the specific deltas, run driver-side and
-        # gated by the store's delta-sharing groups.
-        space = DomainParameterSpace(driver_model, dataset.n_domains,
-                                     store=store)
+        # gated by the space's delta-sharing groups.
+        space = DomainParameterSpace(driver_model, dataset.n_domains)
         space.set_shared(shared)
         view, groups = space.training_plan(dataset)
         dr_tracker = PerDomainTracker(dataset.n_domains)

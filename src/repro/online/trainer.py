@@ -140,8 +140,7 @@ class IncrementalTrainer:
     def __init__(self, model, n_domains, config, *, backend="local",
                  replica_factory=None, n_workers=2, replay_capacity=1200,
                  holdout_frac=0.25, holdout_capacity=200,
-                 dataset_name="online", n_users=None, n_items=None, seed=0,
-                 store=None):
+                 dataset_name="online", n_users=None, n_items=None, seed=0):
         if backend not in ("local", "cluster"):
             raise ValueError(f"unknown backend {backend!r}")
         if backend == "cluster" and replica_factory is None:
@@ -163,7 +162,7 @@ class IncrementalTrainer:
         self.n_users = n_users
         self.n_items = n_items
         self.seed = seed
-        self.space = DomainParameterSpace(model, n_domains, store=store)
+        self.space = DomainParameterSpace(model, n_domains)
         self.replay = ReplayBuffer(replay_capacity)
         self.holdouts = {}        # domain -> newest two-class holdout table
         self.holdout_watermarks = {}

@@ -141,7 +141,7 @@ class ModelSnapshot:
         ``aliased_arrays``/``copied_arrays`` count per *domain* entry (the
         serving view); ``unique_states``/``copied_bytes`` deduplicate by
         state object, so domains sharing a cluster-level state (the
-        clustered backend's tail) are charged once.
+        clustered space's tail) are charged once.
         """
         aliased = copied = 0
         bytes_saved = copied_bytes = 0
@@ -200,10 +200,10 @@ class SnapshotStore:
 
         Copy-on-write against a frozen copy of ``θ_S``: zero-delta entries
         alias the shared array (see module docstring).  Materialization is
-        delegated to the space's storage backend via ``cow_states``, which
-        yields one state per delta-sharing group — a clustered space with
-        10k tail domains in 64 clusters publishes 64 states, and every
-        member domain maps to its group's (frozen, shared) state object.
+        delegated to the space's ``cow_states``, which yields one state
+        per delta-sharing group — a clustered space with 10k tail domains
+        in 64 clusters publishes 64 states, and every member domain maps
+        to its group's (frozen, shared) state object.
         """
         shared = OrderedDict(
             (name, _freeze(value.copy())) for name, value in space.shared.items()

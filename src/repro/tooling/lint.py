@@ -543,44 +543,6 @@ class GradcheckCoverageRule(Rule):
         ]
 
 
-@register
-class ThetaDictAccessRule(Rule):
-    name = "theta-dict-access"
-    description = (
-        "per-domain delta storage is an implementation detail of "
-        "repro/core/param_space.py; reaching into '.deltas' / '.theta_i' "
-        "dicts elsewhere bypasses the DomainParamStore protocol "
-        "(groups()/delta()/apply_delta()) and silently assumes the dense "
-        "backend"
-    )
-    allowed_suffixes = ("repro/core/param_space.py",)
-    _attrs = ("deltas", "theta_i")
-
-    def visit(self, path, tree):
-        # Method *calls* named .deltas() (e.g. a cache reporting its delta
-        # tables) are someone else's API, not dict access — skip the
-        # Attribute nodes serving as a Call's func.
-        call_funcs = {
-            id(node.func) for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-        }
-        violations = []
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr in self._attrs
-                and id(node) not in call_funcs
-            ):
-                violations.append(self._violation(
-                    path, node,
-                    f"direct '.{node.attr}' dict access outside "
-                    "param_space.py; go through the DomainParamStore "
-                    "protocol (groups()/delta()/apply_delta()/"
-                    "materialize()) so clustered backends keep working",
-                ))
-        return violations
-
-
 def all_rules(gradcheck_tests=None):
     """Instantiate the full registered rule set."""
     rules = []

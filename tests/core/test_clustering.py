@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import domain_features, identity_plan, kmeans, plan_clusters
+from repro.core import domain_features, kmeans, plan_clusters
 from repro.core.param_space import ClusterPlan
 from repro.models import build_model
 
@@ -101,14 +101,6 @@ def test_kmeans_degenerate_cases():
         kmeans(features, 0, seed=0)
 
 
-def test_identity_plan_matches_classmethod():
-    plan = identity_plan(4)
-    assert plan == ClusterPlan.identity(4)
-    assert plan.assignments == (0, 1, 2, 3)
-    assert plan.head_domains == frozenset()
-    assert [plan.members(c) for c in range(4)] == [(0,), (1,), (2,), (3,)]
-
-
 def test_cluster_plan_validation():
     with pytest.raises(ValueError):
         ClusterPlan(assignments=(), n_clusters=1)
@@ -120,5 +112,5 @@ def test_cluster_plan_validation():
         ClusterPlan(assignments=(0, 0), n_clusters=1, head_domains={5})
     plan = ClusterPlan(assignments=(0, 1, 0), n_clusters=2, head_domains={2})
     assert plan.cluster_of(2) == 0
-    assert plan.members(0) == (0, 2)
-    assert plan.summary()["tail_domains"] == 2
+    assert plan.n_domains == 3
+    assert plan.head_domains == frozenset({2})

@@ -1,10 +1,9 @@
-"""DomainParamStore backends: clustered semantics + dense parity.
+"""DomainParameterSpace layouts: clustered semantics + pinned defaults.
 
-The acceptance bar for the storage redesign: the dense backend is
-bitwise-identical to the historical per-domain dict, and the clustered
-backend under an *identity* plan (every domain its own cluster, no
-heads) reproduces the dense arithmetic exactly — same trained states,
-same AUC to 1e-9.
+A :class:`ClusterPlan` lays out the delta plane; the default identity
+plan (every domain its own cluster, no heads) is one delta per domain,
+and its training results are pinned to literal digests so that a change
+to the storage cannot move them unnoticed.
 """
 
 from __future__ import annotations
@@ -14,13 +13,11 @@ import pytest
 
 from repro.core import (
     MAMDR,
-    ClusteredDomainStore,
     ClusterPlan,
-    DenseDomainStore,
     DomainGroup,
     DomainParameterSpace,
-    identity_plan,
     plan_clusters,
+    train_space,
 )
 from repro.data import taobao_sim
 from repro.metrics import evaluate_bank
@@ -31,7 +28,10 @@ from repro.nn.state import (
     state_scale,
     zeros_like_state,
 )
+from repro.online import EventStream, StreamConfig
+from repro.utils.seeding import spawn_rng
 
+import tests.core.test_algorithm3_single_source as alg3
 from tests.conftest import make_tiny_dataset
 
 
@@ -41,14 +41,11 @@ def dataset():
 
 
 def clustered_space(model, plan):
-    return DomainParameterSpace(
-        model, plan.n_domains,
-        store=lambda shared: ClusteredDomainStore(shared, plan),
-    )
+    return DomainParameterSpace(model, plan.n_domains, plan=plan)
 
 
 # ----------------------------------------------------------------------
-# DomainGroup / store structure
+# DomainGroup / space structure
 # ----------------------------------------------------------------------
 def test_domain_group_validation():
     with pytest.raises(ValueError):
@@ -61,10 +58,9 @@ def test_domain_group_validation():
 
 def test_dense_store_groups_are_singletons_in_order(dataset):
     model = build_model("mlp", dataset, seed=0)
-    store = DenseDomainStore(model.state_dict(), 4)
-    groups = store.groups()
+    groups = DomainParameterSpace(model, 4).groups()
     assert [g.domains for g in groups] == [(0,), (1,), (2,), (3,)]
-    assert all(g.kind == "domain" for g in groups)
+    assert [g.representative for g in groups] == [0, 1, 2, 3]
 
 
 def test_clustered_store_groups_tail_then_heads(dataset):
@@ -72,8 +68,7 @@ def test_clustered_store_groups_tail_then_heads(dataset):
     plan = ClusterPlan(
         assignments=(0, 0, 1, 1), n_clusters=2, head_domains={1},
     )
-    store = ClusteredDomainStore(model.state_dict(), plan)
-    groups = store.groups()
+    groups = clustered_space(model, plan).groups()
     # cluster-tail groups first (sorted by cluster), then head singletons
     assert [(g.kind, g.domains) for g in groups] == [
         ("cluster", (0,)), ("cluster", (2, 3)), ("domain", (1,)),
@@ -84,7 +79,7 @@ def test_clustered_store_groups_tail_then_heads(dataset):
 def test_clustered_store_requires_plan(dataset):
     model = build_model("mlp", dataset, seed=0)
     with pytest.raises(TypeError):
-        ClusteredDomainStore(model.state_dict(), [0, 0, 1, 1])
+        DomainParameterSpace(model, 4, plan=[0, 0, 1, 1])
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +119,7 @@ def test_head_domain_keeps_residual_on_top_of_cluster(dataset):
         space.delta(3), state_scale(space.shared, 0.9), atol=1e-12
     )
     assert state_allclose(
-        space.materialize(3), state_scale(space.shared, 1.9), atol=1e-12
+        space.combined(3), state_scale(space.shared, 1.9), atol=1e-12
     )
 
 
@@ -147,7 +142,7 @@ def test_apply_delta_to_shared_tail_member_is_rejected(dataset):
 
 def test_unknown_domain_rejected_by_clustered_store(dataset):
     model = build_model("mlp", dataset, seed=0)
-    space = clustered_space(model, identity_plan(4))
+    space = DomainParameterSpace(model, 4)
     with pytest.raises(KeyError):
         space.delta(9)
 
@@ -170,26 +165,24 @@ def test_cow_states_yield_one_state_per_group(dataset):
 
 def test_clustered_nbytes_scales_with_groups_not_domains(dataset):
     model = build_model("mlp", dataset, seed=0)
-    dense = DenseDomainStore(model.state_dict(), 4)
-    two = ClusteredDomainStore(
-        model.state_dict(),
-        ClusterPlan(assignments=(0, 0, 1, 1), n_clusters=2),
+    dense = DomainParameterSpace(model, 4)
+    two = clustered_space(
+        model, ClusterPlan(assignments=(0, 0, 1, 1), n_clusters=2),
     )
     assert two.nbytes() == dense.nbytes() / 2
-    stats = two.stats()
-    assert stats["backend"] == "ClusteredDomainStore"
-    assert stats["populated_clusters"] == 2
+    assert len(two.groups()) == 2
 
 
 def test_clustered_store_is_a_fraction_of_dense_at_1000_domains():
     """A sparse-tail 1 000-domain preset under 64 clusters: far fewer work
-    units and a delta plane that does not scale with n_domains."""
+    units and a delta plane that does not scale with n_domains; the
+    identity plan (one delta per domain) is the dense side."""
     sparse = taobao_sim(1000, total_samples=12000, n_users=2000,
                         n_items=1000, min_domain_samples=18)
-    state = build_model("mlp", sparse, seed=0).state_dict()
-    dense = DenseDomainStore(state, sparse.n_domains)
-    clustered = ClusteredDomainStore(
-        state, plan_clusters(sparse, n_clusters=64, seed=0, head_fraction=0.01),
+    model = build_model("mlp", sparse, seed=0)
+    dense = DomainParameterSpace(model, sparse.n_domains)
+    clustered = clustered_space(
+        model, plan_clusters(sparse, n_clusters=64, seed=0, head_fraction=0.01),
     )
     assert len(clustered.groups()) < len(dense.groups()) / 4
     assert clustered.nbytes() < dense.nbytes() / 4
@@ -197,48 +190,54 @@ def test_clustered_store_is_a_fraction_of_dense_at_1000_domains():
 
 def test_space_rejects_mismatched_store(dataset):
     model = build_model("mlp", dataset, seed=0)
-    with pytest.raises(ValueError, match="store covers"):
-        DomainParameterSpace(
-            model, 4,
-            store=lambda shared: ClusteredDomainStore(
-                shared, identity_plan(3)
-            ),
-        )
+    with pytest.raises(ValueError, match="plan covers"):
+        DomainParameterSpace(model, 4, plan=ClusterPlan.identity(3))
 
 
 # ----------------------------------------------------------------------
-# Backend parity: identity-plan clustered == dense, bit for bit
+# The default identity plan, pinned across commits
 # ----------------------------------------------------------------------
-def test_identity_plan_training_is_bitwise_dense(dataset, fast_config):
-    dense_model = build_model("mlp", dataset, seed=1)
-    dense_bank = MAMDR().fit(dense_model, dataset, fast_config, seed=3)
+# test_algorithm3_single_source compares every call site with a reference
+# that trains through the same space, so a storage change moves both
+# sides at once.  These digests of its scenario were computed with the
+# former dense one-dict-per-domain backend and must never move.
+PINNED_DIGESTS = {
+    "train_space":
+        "af6fef1476aa87e50d7382792569be5276532ec83795a649b9c5439c3d44ec7d",
+    "mamdr_fit":
+        "b63b44d439cf4cdd12ae6d35f7d845892bc67d9f14a0214084d2b1d371def88a",
+}
 
-    clustered_model = build_model("mlp", dataset, seed=1)
-    store = lambda shared: ClusteredDomainStore(  # noqa: E731
-        shared, identity_plan(dataset.n_domains)
-    )
-    clustered_bank = MAMDR(store=store).fit(
-        clustered_model, dataset, fast_config, seed=3
-    )
 
-    for domain in range(dataset.n_domains):
-        lhs = dense_bank.state_for(domain)
-        rhs = clustered_bank.state_for(domain)
-        for name in lhs:
-            np.testing.assert_array_equal(lhs[name], rhs[name])
+@pytest.fixture(scope="module")
+def alg3_stream():
+    return EventStream(StreamConfig(
+        n_domains=alg3.N_DOMAINS, n_users=120, n_items=80, latent_dim=6,
+        n_windows=3, window_events=180, drift_rate=0.2, seed=0,
+    ))
 
-    dense_auc = evaluate_bank(dense_bank, dataset).mean_auc
-    clustered_auc = evaluate_bank(clustered_bank, dataset).mean_auc
-    assert abs(dense_auc - clustered_auc) < 1e-9
+
+@pytest.fixture(scope="module")
+def alg3_dataset(alg3_stream):
+    return alg3.make_trainer(alg3_stream).window_dataset()
+
+
+def test_default_space_matches_pinned_digests(alg3_stream, alg3_dataset):
+    space = train_space(alg3.make_model(alg3_stream), alg3_dataset,
+                        alg3.CONFIG, spawn_rng(alg3.SEED, "scenario"))
+    bank = MAMDR().fit(alg3.make_model(alg3_stream), alg3_dataset,
+                       alg3.CONFIG, seed=alg3.SEED)
+    assert {
+        "train_space": alg3.space_digest(space),
+        "mamdr_fit": alg3.bank_digest(bank),
+    } == PINNED_DIGESTS
 
 
 def test_real_plan_training_runs_and_evaluates(dataset, fast_config):
     """A genuinely merged plan trains end-to-end and serves every domain."""
     model = build_model("mlp", dataset, seed=1)
     plan = plan_clusters(dataset, n_clusters=2, seed=0, head_fraction=0.25)
-    bank = MAMDR(
-        store=lambda shared: ClusteredDomainStore(shared, plan)
-    ).fit(model, dataset, fast_config, seed=3)
+    bank = MAMDR(plan=plan).fit(model, dataset, fast_config, seed=3)
     assert set(bank.domain_states) == set(range(dataset.n_domains))
     report = evaluate_bank(bank, dataset)
     assert 0.0 <= report.mean_auc <= 1.0
@@ -256,7 +255,7 @@ def test_training_plan_merges_cluster_view(dataset):
         assert len(merged) == sum(
             len(dataset.domain(d).train) for d in group.domains
         )
-    # dense spaces return the dataset untouched
+    # identity-plan spaces return the dataset untouched
     dense_space = DomainParameterSpace(model, dataset.n_domains)
     view, groups = dense_space.training_plan(dataset)
     assert view is dataset
@@ -275,20 +274,11 @@ def test_all_combined_shares_state_within_group(dataset):
     assert state_allclose(combined[0], state_scale(space.shared, 1.5))
 
 
-def test_get_is_materialize_alias(dataset):
+def test_materialize_does_not_leak_internal_views(dataset):
+    """Mutating a materialized state must not corrupt the space."""
     model = build_model("mlp", dataset, seed=0)
     space = DomainParameterSpace(model, 4)
-    delta = state_scale(space.shared, 0.25)
-    space.set_delta(2, delta)
-    assert state_allclose(space.get(2), space.materialize(2))
-    assert state_allclose(space.get(2), state_scale(space.shared, 1.25))
-
-
-def test_materialize_does_not_leak_internal_views(dataset):
-    """Mutating a materialized state must not corrupt the store."""
-    model = build_model("mlp", dataset, seed=0)
-    space = clustered_space(model, identity_plan(4))
-    state = space.materialize(0)
+    state = space.combined(0)
     before = clone_state(space.delta(0))
     for value in state.values():
         value += 123.0

@@ -14,6 +14,7 @@ from repro.distributed import (
     save_checkpoint,
 )
 from repro.distributed.worker import embedding_parameter_names
+from repro.frameworks.base import StateBank
 from repro.models import build_model
 from repro.nn.state import state_checksum
 
@@ -85,30 +86,52 @@ def test_restore_validates_key_set(tiny_dataset):
         ps.restore({"bogus": np.zeros(2)}, version=1)
 
 
-@pytest.mark.parametrize("outer", [None, "adagrad"])
-@pytest.mark.parametrize("mode", ["sync", "async"])
-def test_resume_is_byte_identical(mode, outer, tiny_dataset, tmp_path):
+def bank_checksums(bank, n_domains):
+    """θ_S plus every domain's serving state; a single-model bank serves
+    every domain from its model."""
+    if not isinstance(bank, StateBank):
+        return [state_checksum(bank.model.state_dict())]
+    return [state_checksum(bank.default_state)] + [
+        state_checksum(bank.state_for(domain)) for domain in range(n_domains)
+    ]
+
+
+# The ids of the use_dr=False cases predate the DR tail.
+@pytest.mark.parametrize("mode, outer, use_dr", [
+    pytest.param(mode, outer, use_dr,
+                 id=f"{mode}-{outer}" + ("-dr" if use_dr else ""))
+    for use_dr in (False, True)
+    for mode in ("sync", "async")
+    for outer in (None, "adagrad")
+])
+def test_resume_is_byte_identical(mode, outer, use_dr, tiny_dataset,
+                                  tmp_path):
     """Uninterrupted run == checkpoint at epoch 2 + resume, bit for bit.
 
     This pins everything a restart needs: PS state + version, server
     optimizer slots, worker inner-Adam moments, model-held RNG streams
-    (dropout) and the driver RNG/tracker position.
+    (dropout) and the driver RNG/tracker position — which the DR tail
+    (``use_dr=True``) continues from, so every domain's state must match
+    too.
     """
     factory = build_factory(tiny_dataset)
     full = SimulatedCluster(n_workers=2, mode=mode, outer_optimizer=outer)
-    bank_full = full.run(factory, tiny_dataset, RESUME_CONFIG, seed=1)
+    bank_full = full.run(factory, tiny_dataset, RESUME_CONFIG, seed=1,
+                         use_dr=use_dr)
 
     path = tmp_path / "ckpt.rp"
     writer = SimulatedCluster(n_workers=2, mode=mode, outer_optimizer=outer,
                               checkpoint_path=str(path), checkpoint_every=2)
-    writer.run(factory, tiny_dataset, RESUME_CONFIG, seed=1)
+    writer.run(factory, tiny_dataset, RESUME_CONFIG, seed=1, use_dr=use_dr)
     assert path.exists()
 
     resumed = SimulatedCluster(n_workers=2, mode=mode, outer_optimizer=outer)
     bank_resumed = resumed.resume(factory, tiny_dataset, RESUME_CONFIG,
-                                  checkpoint_path=str(path))
-    assert state_checksum(bank_resumed.model.state_dict()) == state_checksum(
-        bank_full.model.state_dict()
+                                  use_dr=use_dr, checkpoint_path=str(path))
+    assert isinstance(bank_full, StateBank) == use_dr
+    n_domains = tiny_dataset.n_domains
+    assert bank_checksums(bank_resumed, n_domains) == bank_checksums(
+        bank_full, n_domains
     )
 
 

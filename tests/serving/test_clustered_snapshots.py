@@ -1,9 +1,9 @@
-"""Snapshot publishing through the clustered parameter backend.
+"""Snapshot publishing through a clustered parameter space.
 
 The COW contract at scale: publishing a clustered space materializes one
 state per delta-sharing *group* (not per domain), tail members of a
 cluster literally share the state object, and hot-swap/rollback behave
-exactly as with the dense backend.
+exactly as with the default one-delta-per-domain layout.
 """
 
 from __future__ import annotations
@@ -11,11 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    ClusteredDomainStore,
-    ClusterPlan,
-    DomainParameterSpace,
-)
+from repro.core import ClusterPlan, DomainParameterSpace
 from repro.models import build_model
 from repro.nn.state import state_allclose, state_scale
 from repro.serving import Predictor, SnapshotStore
@@ -37,10 +33,7 @@ def space(dataset):
     plan = ClusterPlan(
         assignments=(0, 0, 1, 1), n_clusters=2, head_domains={0},
     )
-    space = DomainParameterSpace(
-        model, dataset.n_domains,
-        store=lambda shared: ClusteredDomainStore(shared, plan),
-    )
+    space = DomainParameterSpace(model, dataset.n_domains, plan=plan)
     # cluster 1 carries a shared delta; cluster 0's tail stays at zero
     space.apply_delta(space.groups()[1], state_scale(space.shared, 0.5))
     space.set_delta(0, state_scale(space.shared, 0.25))
@@ -51,7 +44,7 @@ def test_publish_matches_materialization(space):
     snapshot = SnapshotStore().publish(space)
     for domain in range(space.n_domains):
         assert state_allclose(
-            dict(snapshot.state_for(domain)), dict(space.materialize(domain))
+            dict(snapshot.state_for(domain)), dict(space.combined(domain))
         )
 
 

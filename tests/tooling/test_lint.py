@@ -511,35 +511,3 @@ class TestExitCodes:
         path.write_text("x = 1\n")
         assert main([str(path), "--baseline", str(tmp_path / "nope.json")]) == 2
 
-
-class TestThetaDictAccess:
-    def test_flags_deltas_dict_access(self):
-        assert rules_fired("""
-            def worst_domain(space):
-                return max(space.deltas, key=lambda d: space.deltas[d])
-        """, path="src/repro/core/mamdr.py") == ["theta-dict-access"]
-
-    def test_flags_theta_i_attribute(self):
-        assert rules_fired("""
-            def peek(store, domain):
-                return store.theta_i[domain]
-        """, path="src/repro/serving/snapshots.py") == ["theta-dict-access"]
-
-    def test_method_calls_named_deltas_pass(self):
-        # .deltas() as a *call* is someone else's API, not dict access
-        assert rules_fired("""
-            def report(cache):
-                return cache.deltas()
-        """, path="src/repro/online/trainer.py") == []
-
-    def test_sanctioned_inside_param_space(self):
-        source = "def peek(space):\n    return space.deltas\n"
-        assert lint_source(source, "src/repro/core/param_space.py") == []
-
-    def test_protocol_usage_passes(self):
-        assert rules_fired("""
-            def train(space):
-                for group in space.groups():
-                    delta = space.group_delta(group)
-                    space.apply_delta(group, delta)
-        """, path="src/repro/core/mamdr.py") == []
