@@ -142,14 +142,13 @@ def build_parser():
                              "'online' section configures the pipeline")
     online.add_argument("--verbose", action="store_true")
 
-    analyze = commands.add_parser(
+    commands.add_parser(
         "analyze",
         help="whole-program static analysis: certify compiled tapes and "
              "audit the parallel runtime for nondeterminism "
              "(delegates to repro.tooling.analyze)",
         add_help=False,
     )
-    analyze.add_argument("rest", nargs=argparse.REMAINDER)
     return parser
 
 
@@ -236,7 +235,8 @@ def main(argv=None):
         argv = sys.argv[1:]
     # ``analyze`` forwards its whole tail (options included) to the
     # analyzer's own parser — argparse.REMAINDER cannot capture leading
-    # options, so dispatch before parsing.
+    # options, so dispatch before parsing (the subparser only lists it
+    # in ``--help``).
     if argv and argv[0] == "analyze":
         from .tooling.analyze import main as analyze_main
         return analyze_main(list(argv[1:]))
@@ -259,9 +259,6 @@ def main(argv=None):
         return _run_train(args)
     if args.command == "online-sim":
         return _run_online_sim(args)
-    if args.command == "analyze":
-        from .tooling.analyze import main as analyze_main
-        return analyze_main(args.rest)
     EXPERIMENT_RUNNERS[args.experiment](args)
     return 0
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 TRACER = None
 
 # Primitive-kind metadata shared by the compiler (``repro.nn.compile``)
-# and the static tape verifier (``repro.tooling.analyzer.tape_verifier``).
+# and the static tape verifier (``repro.tooling.analyzer.tape_verifier``,
+# a CI check that training never imports).
 # Keeping the sets here — instead of two private copies — means a new
 # primitive must be classified exactly once.
 

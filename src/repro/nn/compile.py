@@ -355,7 +355,7 @@ class _TapeBuilder:
         """
         cells = {id(self.loss): 0}
         ncells = 1
-        steps, step_kinds, leaf_cells, plan, fast_flags = [], [], [], [], []
+        steps, step_kinds, leaf_cells, plan = [], [], [], []
         for node in reversed(topo):
             ci = cells.pop(id(node), None)  # mirror grads.pop(...)
             if ci is None:
@@ -382,13 +382,12 @@ class _TapeBuilder:
             fast = _BWD_KERNELS.get(rec.kind)
             if fast is not None:
                 step = fast(self, rec, ci, tuple(targets))
-            fast_flags.append(step is not None)
             if step is None:
                 step = _backward_step(node._backward, ci, tuple(targets))
             steps.append(step)
             step_kinds.append(rec.kind)
             plan.append((rec, ci, tuple(targets)))
-        return steps, step_kinds, leaf_cells, ncells, plan, fast_flags
+        return steps, step_kinds, leaf_cells, ncells, plan
 
     def build(self):
         loss = self.loss
@@ -399,8 +398,7 @@ class _TapeBuilder:
             if node._backward is not None and id(node) not in self.recmap:
                 raise CompileBail("graph contains an untraced primitive")
         self.build_forward()
-        (steps, step_kinds, leaf_cells, ncells, plan,
-         fast_flags) = self.build_backward(topo)
+        steps, step_kinds, leaf_cells, ncells, plan = self.build_backward(topo)
         if not leaf_cells:
             raise CompileBail("no trainable leaves reached by the loss")
         return Tape(
@@ -420,7 +418,6 @@ class _TapeBuilder:
             node_records=self.node_records,
             trace_records=self.records,
             backward_plan=plan,
-            backward_fast=fast_flags,
         )
 
 
@@ -982,7 +979,7 @@ class Tape:
     def __init__(self, env, param_slots, staging, forward, forward_kinds,
                  backward, backward_kinds, leaf_cells, ncells, seed,
                  loss_buf, all_params, rngs, node_records,
-                 trace_records=None, backward_plan=None, backward_fast=None):
+                 trace_records=None, backward_plan=None):
         self._env = env
         self._param_slots = param_slots
         self._staging = staging
@@ -1002,19 +999,6 @@ class Tape:
         # record stream and, per backward step, (record, in-cell, targets).
         self._trace_records = trace_records or []
         self._backward_plan = backward_plan or []
-        # Parallel to _backward_plan: True where the step is a fast kernel
-        # with a statically known read set (the tape verifier pins less).
-        self._backward_fast = backward_fast or []
-        #: static certificate from repro.tooling.analyzer, or None.
-        self.certificate = None
-
-    @property
-    def verify_mode(self):
-        """``"static"`` when the analyzer certified this tape, ``"replay"``
-        otherwise — certified tapes may skip the eager bitwise re-run under
-        non-strict :func:`repro.tooling.sanitizer.replay_verify`."""
-        cert = self.certificate
-        return "static" if cert is not None and cert.certified else "replay"
 
     # -- execution ------------------------------------------------------
     def _run(self, batch):
@@ -1115,26 +1099,6 @@ class Tape:
 # Executor
 # ----------------------------------------------------------------------
 
-def _certify_tape(tape):
-    """Statically certify a freshly traced tape (best effort, never raises).
-
-    The analyzer lives in ``repro.tooling`` and imports numpy-level helpers
-    only, but the import is still lazy so a broken/absent analyzer can
-    never take the training path down with it — an uncertifiable tape just
-    stays in dynamic-verification mode.
-    """
-    try:
-        from ..tooling.analyzer import certify
-        certificate = certify(tape)
-    except Exception:  # analyzer bug must not break training
-        profiling.count("compile.certify_error")
-        return None
-    profiling.count(
-        "compile.certified" if certificate.certified else "compile.uncertified"
-    )
-    return certificate
-
-
 def eager_step(model, batch, optimizer):
     """One standard eager training step (the universal fallback)."""
     loss = model.loss(batch)
@@ -1217,11 +1181,7 @@ class StepExecutor:
             return eager_step(model, batch, optimizer)
         self.replays += 1
         if _sanitizer._REPLAY_VERIFY:
-            if _sanitizer._REPLAY_VERIFY_STRICT or tape.verify_mode != "static":
-                return tape.replay_verified(batch, optimizer, model)
-            # Statically certified: the analyzer proved shape/dtype/aliasing
-            # safety for every kernel, so skip the eager re-run.
-            profiling.count("verify.static_skip")
+            return tape.replay_verified(batch, optimizer, model)
         return tape.replay(batch, optimizer)
 
     def tape_for(self, batch, optimizer):
@@ -1259,8 +1219,6 @@ class StepExecutor:
         except CompileBail:
             tape = None
             profiling.count("compile.bail")
-        if tape is not None:
-            tape.certificate = _certify_tape(tape)
         return tape, loss.item()
 
 

@@ -177,7 +177,10 @@ class Adam(Optimizer):
     Sparse gradients take a lazy row-wise path: moments of untouched rows
     are left stale and caught up with a ``beta**skipped`` decay the next
     time the row appears, which reproduces the dense moment recursion for
-    the touched rows without ever writing the full table.
+    the touched rows without ever writing the full table.  Only the
+    moments match: an untouched row takes no parameter step, while dense
+    Adam keeps stepping it on its decaying moments, so once a row is
+    revisited after a gap the two end states differ.
     """
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):

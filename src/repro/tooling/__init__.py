@@ -5,13 +5,15 @@ views, in-place state algebra, sparse embedding gradients, compiled tape
 replay):
 
 * :mod:`repro.tooling.sanitizer` — tensor version counters checked in
-  ``backward()``, :func:`anomaly_mode` NaN/Inf localisation, and graph
-  diagnostics (live-node census, SparseGrad densification counters).
+  ``backward()``, :func:`anomaly_mode` NaN/Inf localisation, bitwise
+  :func:`replay_verify`, and graph diagnostics (live-node census,
+  SparseGrad densification counters).  The engine imports it; it is the
+  only layer on the training path.
 * :mod:`repro.tooling.analyzer` — the static-analysis framework: the
   tape IR verifier (abstract interpretation over compiled kernel tapes,
-  aliasing proofs, buffer-reuse planning) and the determinism/effect
-  auditor over the parallel runtime.  Driven by
-  ``python -m repro.tooling.analyze``.
+  aliasing proofs) and the determinism/effect auditor over the parallel
+  runtime.  A CI check driven by ``python -m repro.tooling.analyze``;
+  training never imports it.
 * :mod:`repro.tooling.lint` — the repo-invariant lint pass, rebuilt as
   rule plugins over the analyzer's shared project index; run as
   ``python -m repro.tooling.lint src/`` (wired into CI).
@@ -32,7 +34,6 @@ from .sanitizer import (
     graph_census,
     replay_verify,
     replay_verify_enabled,
-    replay_verify_strict,
     sanitize,
 )
 
@@ -45,43 +46,8 @@ __all__ = [
     "anomaly_mode",
     "replay_verify",
     "replay_verify_enabled",
-    "replay_verify_strict",
     "enabled",
     "anomaly_enabled",
     "graph_census",
     "densify_counts",
-    "all_rules",
-    "lint_paths",
-    "lint_source",
-    "Baseline",
-    "Finding",
-    "Report",
-    "UsageError",
-    "ProjectIndex",
-    "TapeCertificate",
-    "BufferPlan",
-    "certify",
-    "verify_tape",
-    "audit",
-    "audit_paths",
 ]
-
-# The lint/analyzer entry points are imported lazily: eagerly importing
-# ``.lint`` here would double-import it under ``python -m
-# repro.tooling.lint``, and the analyzer is only needed by tooling users.
-_LINT_EXPORTS = ("all_rules", "lint_paths", "lint_source")
-_ANALYZER_EXPORTS = (
-    "Baseline", "Finding", "Report", "UsageError", "ProjectIndex",
-    "TapeCertificate", "BufferPlan", "certify", "verify_tape",
-    "audit", "audit_paths",
-)
-
-
-def __getattr__(name):
-    if name in _LINT_EXPORTS:
-        from . import lint
-        return getattr(lint, name)
-    if name in _ANALYZER_EXPORTS:
-        from . import analyzer
-        return getattr(analyzer, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,7 +7,7 @@ the shared baseline machinery:
   a small synthetic multi-domain dataset, and one more from a batch in the
   columnar plane's dtypes (uint32 ids, float32 labels), then statically
   verifies each compiled tape (shape/dtype abstract interpretation, buffer
-  def-use and aliasing proofs, lifetime/buffer-reuse planning).  Models
+  def-use and aliasing proofs, backward cell dataflow).  Models
   whose step legitimately bails out of compilation are recorded with the
   bail reason, not failed.
 * ``effects`` — interprocedural determinism/effect audit over the
@@ -127,9 +127,6 @@ def run_tape_frontend(report, models=None, seed=0):
             }
             if not certificate.certified:
                 entry["bail"] = certificate.bail_reason
-            if certificate.plan is not None:
-                entry["arena_bytes"] = certificate.plan.arena_bytes
-                entry["saved_bytes"] = certificate.plan.saved_bytes
             stats[entry_name] = entry
     certified = sum(1 for s in stats.values() if s["certified"])
     report.note("tape", models=stats, certified=certified, total=len(stats))
@@ -224,9 +221,7 @@ def main(argv=None):
         for name, entry in sorted(tape_stats["models"].items()):
             status = "certified" if entry["certified"] else \
                 f"NOT certified ({entry.get('bail', '?')})"
-            saved = entry.get("saved_bytes")
-            extra = f", arena reuse saves {saved} bytes" if saved else ""
-            print(f"  {name}: {status}{extra}")
+            print(f"  {name}: {status}")
     effects_stats = report.frontends.get("effects")
     if effects_stats:
         print(

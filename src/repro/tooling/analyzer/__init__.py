@@ -5,16 +5,16 @@ Two front ends share one pass/report/baseline infrastructure
 
 * the **tape IR verifier** (:mod:`.tape_verifier`) — abstract
   interpretation over compiled kernel tapes: shape/dtype lattice,
-  buffer def-use and aliasing proofs, lifetime-based buffer-reuse
-  planning.  A passing tape is *statically certified* and the executor
-  may skip the bitwise eager re-verification on it.
+  buffer def-use and aliasing proofs, backward cell dataflow.  A tape
+  with no findings is *statically certified*.
 * the **determinism/effect auditor** (:mod:`.effects`) — interprocedural
   AST effect inference over ``repro/distributed`` and ``repro/online``
   flagging paths by which ``SimulatedCluster.run`` /
   ``IncrementalTrainer.update`` results could depend on scheduling.
 
 ``python -m repro.tooling.analyze`` drives both against a committed
-findings baseline.
+findings baseline.  It is a CI check: nothing on the training path
+imports this package.
 """
 
 from __future__ import annotations
@@ -30,16 +30,10 @@ from .framework import (
     UsageError,
 )
 from .project import FileEntry, FunctionInfo, ProjectIndex
-from .tape_verifier import (
-    BufferPlan,
-    TapeCertificate,
-    certify,
-    verify_tape,
-)
+from .tape_verifier import TapeCertificate, certify
 
 __all__ = [
     "Baseline",
-    "BufferPlan",
     "EXIT_CLEAN",
     "EXIT_FINDINGS",
     "EXIT_USAGE",
@@ -53,5 +47,4 @@ __all__ = [
     "audit",
     "audit_paths",
     "certify",
-    "verify_tape",
 ]

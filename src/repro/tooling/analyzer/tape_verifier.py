@@ -22,17 +22,12 @@ analyzing the recorded schedules:
    static first-write/accumulate flags are consistent, cell shapes
    agree with their node buffers, and every trainable leaf's cell is
    defined.
-4. **Lifetime analysis** — def/last-use intervals over the forward
-   schedule (minus the buffers pinned by backward reads) feed a
-   linear-scan allocator that emits a :class:`BufferPlan`: an advisory
-   slot assignment showing how much replay-arena memory buffer reuse
-   would reclaim.
 
-A tape with no findings is **certified** (:class:`TapeCertificate`,
-``verify_mode == "static"``): the executor may skip the eager re-run
-for it under ``replay_verify`` (strict mode and the dynamic oracle
-remain available).  Verification failure never breaks training — an
-uncertified tape simply stays on dynamic verification.
+A tape with no findings is **certified** (:class:`TapeCertificate`).
+Certification is a CI check (``python -m repro.tooling.analyze``), not
+part of training: the executor never certifies, and ``replay_verify``
+always re-runs eagerly.  A verifier crash propagates, so the check
+fails instead of passing silently.
 
 The verifier duck-types the tape (``_trace_records``,
 ``_forward_kinds``, ``_backward_plan``, …) and imports nothing from
@@ -55,20 +50,9 @@ try:  # numpy >= 2.0 moved byte_bounds out of the top-level namespace
 except ImportError:  # pragma: no cover - numpy < 2.0
     byte_bounds = np.byte_bounds
 
-__all__ = ["BufferPlan", "TapeCertificate", "verify_tape", "certify"]
+__all__ = ["TapeCertificate", "certify"]
 
 FRONTEND = "tape"
-
-#: forward-buffer read sets of the fast backward kernels (everything a
-#: recorded-closure step might read is pinned conservatively instead).
-_FAST_BWD_READS = {
-    "fused_dense": lambda rec: [rec.out.data, rec.parents[0].data,
-                                rec.parents[1].data],
-    "bce": lambda rec: [rec.aux["x"], rec.aux["y"]],
-    "concat": lambda rec: [],
-    "mul": lambda rec: [p.data for p in rec.parents],
-    "embedding": lambda rec: [rec.aux["indices"]],
-}
 
 #: scratch buffers (recorded in aux) that a node's forward kernel writes
 #: in addition to its output buffer.
@@ -78,45 +62,6 @@ _SCRATCH_WRITES = {
     "leaky_relu": ("scale",),
     "bce": ("per_sample", "weighted"),
 }
-
-
-@dataclass
-class BufferPlan:
-    """Advisory buffer-reuse plan from the lifetime analysis.
-
-    ``assignments`` maps ephemeral buffers (label → arena slot); buffers
-    sharing a slot have disjoint def/last-use intervals and identical
-    shape+dtype, so rewiring their kernels to one allocation is safe.
-    ``arena_bytes`` is what the forward arena would occupy under the
-    plan (pinned buffers plus one allocation per slot) versus the
-    ``total_bytes`` it occupies today.
-    """
-
-    n_buffers: int = 0
-    n_pinned: int = 0
-    n_ephemeral: int = 0
-    n_slots: int = 0
-    total_bytes: int = 0
-    pinned_bytes: int = 0
-    arena_bytes: int = 0
-    assignments: list = field(default_factory=list)
-
-    @property
-    def saved_bytes(self):
-        return self.total_bytes - self.arena_bytes
-
-    def to_dict(self):
-        return {
-            "n_buffers": self.n_buffers,
-            "n_pinned": self.n_pinned,
-            "n_ephemeral": self.n_ephemeral,
-            "n_slots": self.n_slots,
-            "total_bytes": self.total_bytes,
-            "pinned_bytes": self.pinned_bytes,
-            "arena_bytes": self.arena_bytes,
-            "saved_bytes": self.saved_bytes,
-            "assignments": list(self.assignments),
-        }
 
 
 @dataclass
@@ -130,19 +75,6 @@ class TapeCertificate:
     n_kernels: int = 0
     n_backward: int = 0
     imprecise: int = 0
-    plan: BufferPlan = None
-
-    def to_dict(self):
-        return {
-            "certified": self.certified,
-            "bail_reason": self.bail_reason,
-            "findings": [f.to_dict() for f in self.findings],
-            "n_records": self.n_records,
-            "n_kernels": self.n_kernels,
-            "n_backward": self.n_backward,
-            "imprecise": self.imprecise,
-            "plan": self.plan.to_dict() if self.plan is not None else None,
-        }
 
 
 class _Op:
@@ -330,8 +262,6 @@ def _check_aliasing(ops, roots, name, findings):
     to a buffer defined earlier in the schedule.  Under (a)+(b), the one
     def of a buffer is the only write its bytes ever see, so (c) means
     every read observes its def.
-
-    Returns ``(defs, alias, arrays)`` for the lifetime analysis.
     """
     defs = {}      # id(arr) -> def op index
     arrays = {}    # id -> array (kept alive by the tape)
@@ -412,7 +342,6 @@ def _check_aliasing(ops, roots, name, findings):
                 f"byte intervals of {prev[2]} and {cur[2]} overlap; an "
                 "in-place write to one overwrites cells of the other",
             ))
-    return defs, alias, arrays
 
 
 # ----------------------------------------------------------------------
@@ -505,144 +434,33 @@ def _check_backward(tape, name, findings):
 
 
 # ----------------------------------------------------------------------
-# 4. Lifetime analysis → buffer-reuse plan
-# ----------------------------------------------------------------------
-
-def _backward_pins(tape, alias):
-    """Ids of forward buffers the backward schedule reads.
-
-    Fast kernels have statically known read sets; recorded-closure steps
-    conservatively pin their output, parents and every aux array (the
-    closure may have captured any of them).
-    """
-    def resolve(arr_id):
-        while arr_id in alias:
-            arr_id = alias[arr_id]
-        return arr_id
-
-    fast_flags = getattr(tape, "_backward_fast", None)
-    pins = set()
-    for pos, (rec, ci, targets) in enumerate(tape._backward_plan):
-        fast = bool(fast_flags[pos]) if fast_flags else False
-        reader = _FAST_BWD_READS.get(rec.kind) if fast else None
-        if reader is not None:
-            arrays = reader(rec)
-        else:
-            arrays = [rec.out.data]
-            arrays.extend(p.data for p in rec.parents)
-            arrays.extend(
-                v for v in rec.aux.values() if isinstance(v, np.ndarray)
-            )
-        pins.update(resolve(id(arr)) for arr in arrays)
-    return pins
-
-
-def _buffer_plan(tape, ops, defs, alias, arrays):
-    def resolve(arr_id):
-        while arr_id in alias:
-            arr_id = alias[arr_id]
-        return arr_id
-
-    last_use = dict(defs)
-    for op in ops:
-        if not op.emitted:
-            continue
-        for arr in op.reads:
-            rid = resolve(id(arr))
-            if rid in defs:
-                last_use[rid] = max(last_use[rid], op.index)
-    pins = _backward_pins(tape, alias)
-
-    plan = BufferPlan(n_buffers=len(defs))
-    plan.total_bytes = sum(arrays[arr_id].nbytes for arr_id in defs)
-    ephemeral = []
-    for arr_id, def_index in sorted(defs.items(), key=lambda kv: kv[1]):
-        if arr_id in pins:
-            plan.n_pinned += 1
-            plan.pinned_bytes += arrays[arr_id].nbytes
-        else:
-            ephemeral.append((arr_id, def_index, last_use[arr_id]))
-    plan.n_ephemeral = len(ephemeral)
-
-    # Linear scan: same-shape+dtype buffers with disjoint live ranges
-    # share one arena slot.
-    slots = []  # per slot: [key, free_from, nbytes]
-    for arr_id, def_index, last in ephemeral:
-        arr = arrays[arr_id]
-        key = (arr.dtype.str, tuple(arr.shape))
-        slot_id = next(
-            (i for i, slot in enumerate(slots)
-             if slot[0] == key and slot[1] <= def_index),
-            None,
-        )
-        if slot_id is None:
-            slot_id = len(slots)
-            slots.append([key, last + 1, arr.nbytes])
-        else:
-            slots[slot_id][1] = last + 1
-        plan.assignments.append(
-            [f"op{def_index}:{ops[def_index].kind}", slot_id]
-        )
-    plan.n_slots = len(slots)
-    plan.arena_bytes = plan.pinned_bytes + sum(slot[2] for slot in slots)
-    return plan
-
-
-# ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
 
-def verify_tape(tape, name="tape"):
-    """Run every static check over one compiled tape.
-
-    Returns ``(findings, stats, plan)``; ``plan`` is ``None`` when the
-    structure check failed (the schedules cannot be trusted).
-    """
-    findings = []
-    stats = {
-        "n_records": len(tape._trace_records),
-        "n_kernels": len(tape._forward_kinds),
-        "n_backward": len(tape._backward_plan),
-        "imprecise": 0,
-    }
-    ops = _extract_ops(tape, name, findings)
-    if ops is None:
-        return findings, stats, None
-    stats["imprecise"] = _abstract_forward(ops, name, findings)
-
-    roots = [("parameter", param.data) for param, _ in tape._param_slots]
-    roots.extend((f"staging[{field}]", arr) for field, arr in tape._staging)
-    defs, alias, arrays = _check_aliasing(ops, roots, name, findings)
-    _check_backward(tape, name, findings)
-    plan = _buffer_plan(tape, ops, defs, alias, arrays)
-    return findings, stats, plan
-
-
 def certify(tape, name="tape"):
-    """Verify ``tape`` and mint its :class:`TapeCertificate`.
-
-    Never raises: any internal verifier error demotes the tape to
-    dynamic verification with the exception as the bail reason.
-    """
-    try:
-        findings, stats, plan = verify_tape(tape, name)
-    except Exception as error:  # defensive: certification must not break training
-        return TapeCertificate(
-            certified=False,
-            bail_reason=f"verifier error: {type(error).__name__}: {error}",
-        )
-    bail = ""
-    if findings:
-        bail = f"{len(findings)} static finding(s): " + "; ".join(
-            sorted({f.rule for f in findings})
-        )
-    return TapeCertificate(
-        certified=not findings,
-        bail_reason=bail,
+    """Run every static check over one compiled tape and mint its
+    :class:`TapeCertificate`; certified means no findings."""
+    findings = []
+    certificate = TapeCertificate(
+        certified=False,
         findings=findings,
-        n_records=stats["n_records"],
-        n_kernels=stats["n_kernels"],
-        n_backward=stats["n_backward"],
-        imprecise=stats["imprecise"],
-        plan=plan,
+        n_records=len(tape._trace_records),
+        n_kernels=len(tape._forward_kinds),
+        n_backward=len(tape._backward_plan),
     )
+    ops = _extract_ops(tape, name, findings)
+    if ops is not None:
+        certificate.imprecise = _abstract_forward(ops, name, findings)
+        roots = [("parameter", param.data) for param, _ in tape._param_slots]
+        roots.extend(
+            (f"staging[{field}]", arr) for field, arr in tape._staging
+        )
+        _check_aliasing(ops, roots, name, findings)
+        _check_backward(tape, name, findings)
+    certificate.certified = not findings
+    if findings:
+        certificate.bail_reason = (
+            f"{len(findings)} static finding(s): "
+            + "; ".join(sorted({f.rule for f in findings}))
+        )
+    return certificate

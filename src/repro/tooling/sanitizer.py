@@ -61,7 +61,6 @@ __all__ = [
     "ReplayMismatchError",
     "replay_verify",
     "replay_verify_enabled",
-    "replay_verify_strict",
 ]
 
 # Module-level flags read directly (as attributes) by the engine's hot path.
@@ -72,10 +71,6 @@ _ACTIVE = False
 # Replay verification is deliberately NOT part of _ACTIVE: it checks the
 # *compiled* executor, so it must leave compiled execution enabled.
 _REPLAY_VERIFY = False
-# Strict mode re-runs eagerly even on statically certified tapes (the
-# analyzer's ``verify_mode == "static"``); it is the oracle the static
-# certificate is tested against.
-_REPLAY_VERIFY_STRICT = True
 
 
 class SanitizerError(RuntimeError):
@@ -109,18 +104,13 @@ def replay_verify_enabled():
     return _REPLAY_VERIFY
 
 
-def replay_verify_strict():
-    """Whether verification re-runs eagerly even on certified tapes."""
-    return _REPLAY_VERIFY and _REPLAY_VERIFY_STRICT
-
-
 def _refresh_active():
     global _ACTIVE
     _ACTIVE = _VERSION_CHECKS or _ANOMALY
 
 
 @contextlib.contextmanager
-def replay_verify(on=True, strict=True):
+def replay_verify(on=True):
     """Verify every compiled tape replay **bitwise** against eager within.
 
     Inside the context, each replayed training step is immediately re-run
@@ -130,21 +120,14 @@ def replay_verify(on=True, strict=True):
     :class:`ReplayMismatchError` naming the op.  Steps that were not
     compiled (trace steps, eager fallbacks) are unaffected.  Orthogonal to
     :func:`sanitize` / :func:`anomaly_mode`, which force eager execution.
-
-    With ``strict=False``, tapes the static analyzer has certified
-    (``tape.verify_mode == "static"``) skip the eager re-run — the
-    certificate stands in for the bitwise check — while uncertified tapes
-    still verify dynamically.  The default stays strict so existing users
-    keep the unconditional oracle.
     """
-    global _REPLAY_VERIFY, _REPLAY_VERIFY_STRICT
-    previous = (_REPLAY_VERIFY, _REPLAY_VERIFY_STRICT)
+    global _REPLAY_VERIFY
+    previous = _REPLAY_VERIFY
     _REPLAY_VERIFY = bool(on)
-    _REPLAY_VERIFY_STRICT = bool(strict)
     try:
         yield
     finally:
-        _REPLAY_VERIFY, _REPLAY_VERIFY_STRICT = previous
+        _REPLAY_VERIFY = previous
 
 
 @contextlib.contextmanager

@@ -20,6 +20,13 @@ def test_stats_command(capsys):
     assert "D1" in out and "CTR Ratio" in out
 
 
+def test_analyze_command(capsys):
+    """``analyze`` forwards its options to the analyzer's own parser."""
+    assert main(["analyze", "--frontend", "tape", "--models", "mlp"]) == 0
+    out = capsys.readouterr().out
+    assert "tape: 2/2 model tapes statically certified" in out
+
+
 def test_run_requires_known_experiment():
     parser = build_parser()
     with pytest.raises(SystemExit):

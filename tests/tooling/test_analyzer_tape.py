@@ -7,27 +7,35 @@ dtype-drifting kernel (float32 where the engine contract is float64) —
 and each must produce findings under the matching rule.  The oracle
 property: every statically certified tape must also pass
 ``replay_verified`` (the eager bitwise re-run) — certification may never
-be *weaker* than the dynamic check it licenses skipping.
+be *weaker* than the dynamic check.  Certification is a CI check only:
+training never imports the analyzer.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.data import DomainSpec, SyntheticConfig, generate_dataset, sample_batch
 from repro.models import MODEL_REGISTRY, build_model
 from repro.nn.compile import executor_for
 from repro.nn.optim import make_optimizer
-from repro.tooling import sanitizer
-from repro.tooling.analyze import run_tape_frontend
-from repro.tooling.analyzer import Report, certify, verify_tape
-from repro.utils import profiling
+from repro.tooling import analyze
+from repro.tooling.analyze import _columnar, _tape_dataset, run_tape_frontend
+from repro.tooling.analyzer import Report, certify, tape_verifier
 from repro.utils.seeding import spawn_rng
 
 pytestmark = pytest.mark.analyzer
 
 ALL_MODELS = sorted(MODEL_REGISTRY)
+BASELINE = Path(__file__).resolve().parents[2] / "analyzer_baseline.json"
 
 
 @pytest.fixture(scope="module")
@@ -39,11 +47,19 @@ def dataset():
     ))
 
 
-def trace(dataset, name="mlp", seed=0):
+@pytest.fixture(scope="module")
+def trainable_dataset():
+    """The analyzer's ``columnar`` case: trainable embeddings."""
+    return _tape_dataset(0, "trainable")
+
+
+def trace(dataset, name="mlp", seed=0, convert=None):
     model = build_model(name, dataset, seed=seed)
     optimizer = make_optimizer("adam", model.parameters(), 0.05)
     rng = spawn_rng(seed, "analyzer", "batch", name)
     batch = sample_batch(dataset.domain(0).train, 0, 16, rng)
+    if convert is not None:
+        batch = convert(batch)
     tape = executor_for(model).tape_for(batch, optimizer)
     assert tape is not None, f"{name} unexpectedly bailed out of compilation"
     return model, optimizer, batch, tape
@@ -81,30 +97,16 @@ class TestCertification:
                                         "star/columnar", "star/d0"]
         assert all(cert.certified for cert in certificates.values())
 
-    def test_executor_attaches_certificate_at_trace(self, dataset):
-        _, _, _, tape = trace(dataset)
-        assert tape.certificate is not None
-        assert tape.certificate.certified
-        assert tape.verify_mode == "static"
+    def test_verifier_crash_fails_the_analyze_run(self, monkeypatch):
+        """A crash inside the verifier must fail the CI run, not turn
+        into an uncertified tape with zero findings and exit 0."""
+        def crash(*args):
+            raise RuntimeError("planted verifier crash")
 
-    def test_buffer_plan_is_consistent(self, dataset):
-        _, _, _, tape = trace(dataset)
-        findings, _, plan = verify_tape(tape)
-        assert findings == []
-        assert plan.n_buffers == plan.n_pinned + plan.n_ephemeral
-        assert plan.arena_bytes <= plan.total_bytes
-        assert plan.saved_bytes == plan.total_bytes - plan.arena_bytes
-        assert len(plan.assignments) == plan.n_ephemeral
-        if plan.n_ephemeral:
-            assert plan.n_slots <= plan.n_ephemeral
-
-    def test_certify_never_raises(self):
-        class Broken:
-            pass
-
-        certificate = certify(Broken())
-        assert not certificate.certified
-        assert "verifier error" in certificate.bail_reason
+        monkeypatch.setattr(tape_verifier, "_check_backward", crash)
+        with pytest.raises(RuntimeError, match="planted verifier crash"):
+            analyze.main(["--frontend", "tape", "--models", "mlp",
+                          "--baseline", str(BASELINE)])
 
 
 class TestPlantedBugs:
@@ -122,7 +124,7 @@ class TestPlantedBugs:
         # Plant: two kernels now write the same buffer — every consumer of
         # the first write reads after an in-place overwrite.
         victims[-1].out.data = donor.out.data
-        findings, _, _ = verify_tape(tape, name="tape:planted-alias")
+        findings = certify(tape, name="tape:planted-alias").findings
         assert "tape-alias-overwrite" in rules_of(findings)
         certificate = certify(tape)
         assert not certificate.certified
@@ -132,7 +134,7 @@ class TestPlantedBugs:
         model, optimizer, batch, tape = trace(dataset)
         rec = next(r for r in tape._node_records if r.kind == "fused_dense")
         rec.out.data = rec.out.data.astype("float32")  # planted downcast
-        findings, _, _ = verify_tape(tape, name="tape:planted-dtype")
+        findings = certify(tape, name="tape:planted-dtype").findings
         assert "tape-dtype-drift" in rules_of(findings)
         assert not certify(tape).certified
 
@@ -140,65 +142,66 @@ class TestPlantedBugs:
         model, optimizer, batch, tape = trace(dataset)
         rec = next(r for r in tape._node_records if r.kind == "fused_dense")
         rec.out.data = np.zeros(rec.out.data.shape + (1,))
-        findings, _, _ = verify_tape(tape, name="tape:planted-shape")
+        findings = certify(tape, name="tape:planted-shape").findings
         assert rules_of(findings) & {"tape-shape", "tape-transfer"}
 
     def test_structure_mismatch_is_caught(self, dataset):
         model, optimizer, batch, tape = trace(dataset)
         tape._forward_kinds = list(tape._forward_kinds)[:-1]
-        findings, _, plan = verify_tape(tape, name="tape:planted-structure")
+        findings = certify(tape, name="tape:planted-structure").findings
         assert "tape-structure" in rules_of(findings)
-        assert plan is None
-
-    def test_uncertified_tape_stays_on_dynamic_verification(self, dataset):
-        model, optimizer, batch, tape = trace(dataset)
-        tape.certificate = certify(Ellipsis)  # guaranteed uncertified
-        assert tape.verify_mode == "replay"
-        with profiling.profile() as prof:
-            with sanitizer.replay_verify(strict=False):
-                executor_for(model).step(batch, optimizer)
-        assert "verify.static_skip" not in prof.ops
 
 
 class TestOracle:
-    @pytest.mark.parametrize("name", ALL_MODELS)
-    def test_certified_implies_bitwise_replay_parity(self, dataset, name):
-        """Property: a certificate licenses skipping the eager re-run, so
-        every certified tape must pass it.  ``replay_verified`` raises on
-        the first bitwise divergence of any op buffer or leaf gradient."""
-        model, optimizer, batch, tape = trace(dataset, name)
-        assert tape.certificate is not None and tape.certificate.certified
+    @pytest.mark.parametrize("name, case", [
+        *(pytest.param(name, "d0", id=name) for name in ALL_MODELS),
+        *(pytest.param(name, "columnar", id=f"{name}-columnar")
+          for name in ALL_MODELS),
+    ])
+    def test_certified_implies_bitwise_replay_parity(
+        self, request, name, case
+    ):
+        """Property: every certified tape passes the eager bitwise re-run,
+        on both cases the CI run certifies — fixed features (``d0``) and
+        trainable embeddings fed columnar dtypes (``columnar``).
+        ``replay_verified`` raises on the first bitwise divergence of any
+        op buffer or leaf gradient."""
+        if case == "d0":
+            dataset, convert = request.getfixturevalue("dataset"), None
+        else:
+            dataset = request.getfixturevalue("trainable_dataset")
+            convert = _columnar
+        model, optimizer, _, tape = trace(dataset, name, convert=convert)
+        certificate = certify(tape, name=f"tape:{name}/{case}")
+        assert certificate.certified, certificate.bail_reason
         rng = spawn_rng(1, "analyzer", "oracle", name)
         for _ in range(2):
             check = sample_batch(dataset.domain(0).train, 0, 16, rng)
+            if convert is not None:
+                check = convert(check)
             tape.replay_verified(check, optimizer, model)  # raises on mismatch
 
-    def test_static_skip_matches_strict_training_bitwise(self, dataset):
-        def run(strict):
-            model = build_model("mlp", dataset, seed=7)
-            optimizer = make_optimizer("adam", model.parameters(), 0.05)
-            executor = executor_for(model)
-            rng = spawn_rng(7, "analyzer", "skip")
-            losses = []
-            with sanitizer.replay_verify(strict=strict):
-                for _ in range(4):
-                    batch = sample_batch(dataset.domain(0).train, 0, 16, rng)
-                    losses.append(executor.step(batch, optimizer))
-            return losses, model.state_dict()
 
-        strict_losses, strict_state = run(strict=True)
-        with profiling.profile() as prof:
-            fast_losses, fast_state = run(strict=False)
-        assert "verify.static_skip" in prof.ops
-        assert strict_losses == fast_losses
-        assert strict_state.keys() == fast_state.keys()
-        for key in strict_state:
-            np.testing.assert_array_equal(strict_state[key], fast_state[key])
-
-    def test_strict_default_still_catches_structure_change(self, dataset):
-        model, optimizer, batch, tape = trace(dataset)
-        assert tape.verify_mode == "static"
-        with profiling.profile() as prof:
-            with sanitizer.replay_verify():  # strict by default
-                executor_for(model).step(batch, optimizer)
-        assert "verify.static_skip" not in prof.ops
+class TestProductPath:
+    def test_fit_does_not_import_the_analyzer(self):
+        """Training never certifies: a short ``Session.fit`` in a fresh
+        interpreter leaves ``repro.tooling.analyzer`` unimported."""
+        script = textwrap.dedent("""
+            import sys
+            from repro.train import Session, SessionConfig
+            config = SessionConfig(
+                dataset="taobao10_sim", scale=0.3, model="mlp", seed=0,
+                train={"epochs": 1},
+            )
+            Session(config).fit()
+            loaded = sorted(m for m in sys.modules
+                            if m.startswith("repro.tooling.analyzer"))
+            print(loaded)
+            sys.exit(1 if loaded else 0)
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=300,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
