@@ -144,9 +144,8 @@ def build_parser():
 
     commands.add_parser(
         "analyze",
-        help="whole-program static analysis: certify compiled tapes and "
-             "audit the parallel runtime for nondeterminism "
-             "(delegates to repro.tooling.analyze)",
+        help="whole-program static analysis: audit the parallel runtime "
+             "for nondeterminism (delegates to repro.tooling.analyze)",
         add_help=False,
     )
     return parser

@@ -15,13 +15,17 @@ __all__ = ["auc_score", "mean_domain_auc"]
 def auc_score(labels, scores):
     """AUC of ``scores`` against binary ``labels``.
 
-    Raises ``ValueError`` when only one class is present (AUC undefined).
-    Ties receive midranks, matching the standard definition.
+    Raises ``ValueError`` when only one class is present or a score is NaN
+    (AUC undefined; NaNs would otherwise rank as distinct values).  Ties
+    receive midranks, matching the standard definition; ±inf ranks as
+    the extreme it is.
     """
     labels = np.asarray(labels, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape:
         raise ValueError("labels and scores must have the same shape")
+    if np.isnan(scores).any():
+        raise ValueError("AUC is undefined for NaN scores")
     positives = labels > 0.5
     n_pos = int(positives.sum())
     n_neg = labels.size - n_pos

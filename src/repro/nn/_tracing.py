@@ -18,25 +18,3 @@ from __future__ import annotations
 #: The active tracer (``repro.nn.compile._Tracer``) or ``None``.
 TRACER = None
 
-# Primitive-kind metadata shared by the compiler (``repro.nn.compile``)
-# and the static tape verifier (``repro.tooling.analyzer.tape_verifier``,
-# a CI check that training never imports).
-# Keeping the sets here — instead of two private copies — means a new
-# primitive must be classified exactly once.
-
-#: graph-node kinds whose output may be a live *view* of its parent's
-#: buffer (the compiler then emits no kernel for the node).
-VIEW_KINDS = frozenset({"reshape", "transpose", "swapaxes", "getitem"})
-
-#: auxiliary (non-node) record kinds: data-dependent constants that are
-#: regenerated on every replay.
-AUX_KINDS = frozenset({"rng_mask", "reduce_max", "fixed_gather"})
-
-#: every graph-node kind the tracer can report (= the compiler's forward
-#: kernel table).
-NODE_KINDS = frozenset({
-    "add", "sub", "mul", "div", "neg", "pow", "matmul",
-    "exp", "log", "sqrt", "tanh", "sigmoid", "relu", "softplus", "abs",
-    "leaky_relu", "sum", "reshape", "transpose", "swapaxes", "getitem",
-    "concat", "stack", "embedding", "fused_dense", "bce",
-})

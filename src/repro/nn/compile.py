@@ -355,7 +355,7 @@ class _TapeBuilder:
         """
         cells = {id(self.loss): 0}
         ncells = 1
-        steps, step_kinds, leaf_cells, plan = [], [], [], []
+        steps, step_kinds, leaf_cells = [], [], []
         for node in reversed(topo):
             ci = cells.pop(id(node), None)  # mirror grads.pop(...)
             if ci is None:
@@ -386,8 +386,7 @@ class _TapeBuilder:
                 step = _backward_step(node._backward, ci, tuple(targets))
             steps.append(step)
             step_kinds.append(rec.kind)
-            plan.append((rec, ci, tuple(targets)))
-        return steps, step_kinds, leaf_cells, ncells, plan
+        return steps, step_kinds, leaf_cells, ncells
 
     def build(self):
         loss = self.loss
@@ -398,7 +397,7 @@ class _TapeBuilder:
             if node._backward is not None and id(node) not in self.recmap:
                 raise CompileBail("graph contains an untraced primitive")
         self.build_forward()
-        steps, step_kinds, leaf_cells, ncells, plan = self.build_backward(topo)
+        steps, step_kinds, leaf_cells, ncells = self.build_backward(topo)
         if not leaf_cells:
             raise CompileBail("no trainable leaves reached by the loss")
         return Tape(
@@ -416,8 +415,6 @@ class _TapeBuilder:
             all_params=self.all_params,
             rngs=self.rngs,
             node_records=self.node_records,
-            trace_records=self.records,
-            backward_plan=plan,
         )
 
 
@@ -978,8 +975,7 @@ class Tape:
 
     def __init__(self, env, param_slots, staging, forward, forward_kinds,
                  backward, backward_kinds, leaf_cells, ncells, seed,
-                 loss_buf, all_params, rngs, node_records,
-                 trace_records=None, backward_plan=None):
+                 loss_buf, all_params, rngs, node_records):
         self._env = env
         self._param_slots = param_slots
         self._staging = staging
@@ -994,11 +990,6 @@ class Tape:
         self._all_params = all_params
         self._rngs = rngs
         self._node_records = node_records
-        # Declarative views of the same schedules, read by the static tape
-        # verifier (repro.tooling.analyzer.tape_verifier): the chronological
-        # record stream and, per backward step, (record, in-cell, targets).
-        self._trace_records = trace_records or []
-        self._backward_plan = backward_plan or []
 
     # -- execution ------------------------------------------------------
     def _run(self, batch):

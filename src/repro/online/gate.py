@@ -16,7 +16,8 @@ window** (never trained on, most recent by watermark):
 
 Domains with fewer than ``min_samples`` holdout rows are recorded but not
 enforced — a 5-event micro-epoch in a sparse domain cannot veto a
-publication.  The gate itself never mutates the store; acceptance and
+publication.  A domain whose candidate scores are not all finite fails
+whatever its size.  The gate itself never mutates the store; acceptance and
 rollback are the publisher's job (:mod:`repro.online.publisher`).
 """
 
@@ -144,11 +145,15 @@ class ValidationGate:
         self.config = config or GateConfig()
         self._loader = RowLoader(model)
 
-    def score_state(self, state, holdout, domain):
-        """(auc, predicted_ctr) of one state on one holdout table."""
+    def predict(self, state, holdout, domain):
+        """Scores of one state on one holdout table."""
         batch = full_batch(holdout, domain)
         self._loader.load(state, batch.users, batch.items)
-        scores = self.model.predict(batch)
+        return self.model.predict(batch)
+
+    def score_state(self, state, holdout, domain):
+        """(auc, predicted_ctr) of one state on one holdout table."""
+        scores = self.predict(state, holdout, domain)
         return (
             float(auc_score(holdout.labels, scores)),
             float(scores.mean()),
@@ -164,6 +169,9 @@ class ValidationGate:
         only a handful of updates to find the output scale and there is
         nothing better to serve instead).  Returns a
         :class:`GateDecision`; every scoreable domain gets a verdict.
+        A domain whose candidate scores are not all finite fails whatever
+        its size: NaN compares false against every bound, so no guard
+        below could reject it.
         """
         start = profiling.tick()
         config = self.config
@@ -175,9 +183,13 @@ class ValidationGate:
             holdout = holdouts[domain]
             if len(np.unique(holdout.labels)) < 2:
                 continue
-            auc, predicted_ctr = self.score_state(
-                states[domain], holdout, domain
+            scores = self.predict(states[domain], holdout, domain)
+            finite = bool(np.isfinite(scores).all())
+            auc = (
+                float(auc_score(holdout.labels, scores)) if finite
+                else float("nan")
             )
+            predicted_ctr = float(scores.mean())
             baseline_auc = None
             if baseline is not None:
                 baseline_auc, _ = self.score_state(
@@ -186,7 +198,9 @@ class ValidationGate:
             empirical_ctr = float(holdout.labels.mean())
             enforced = len(holdout) >= config.min_samples
             reasons = []
-            if enforced:
+            if not finite:
+                reasons.append(f"domain {domain}: non-finite scores")
+            elif enforced:
                 if (
                     baseline_auc is not None
                     and baseline_auc - auc > config.max_auc_drop

@@ -9,11 +9,11 @@ replay):
   :func:`replay_verify`, and graph diagnostics (live-node census,
   SparseGrad densification counters).  The engine imports it; it is the
   only layer on the training path.
-* :mod:`repro.tooling.analyzer` — the static-analysis framework: the
-  tape IR verifier (abstract interpretation over compiled kernel tapes,
-  aliasing proofs) and the determinism/effect auditor over the parallel
-  runtime.  A CI check driven by ``python -m repro.tooling.analyze``;
-  training never imports it.
+* :mod:`repro.tooling.analyzer` — the static-analysis framework and the
+  determinism/effect auditor over the parallel runtime.  A CI check
+  driven by ``python -m repro.tooling.analyze``; training never imports
+  it.  Compiled tapes have no static check: the tier-1 oracle replays
+  every registry model's tape under ``Tape.replay_verified`` instead.
 * :mod:`repro.tooling.lint` — the repo-invariant lint pass, rebuilt as
   rule plugins over the analyzer's shared project index; run as
   ``python -m repro.tooling.lint src/`` (wired into CI).

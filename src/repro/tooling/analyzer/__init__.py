@@ -1,20 +1,19 @@
 """Whole-program static analysis for the repro codebase.
 
-Two front ends share one pass/report/baseline infrastructure
-(:mod:`.framework`):
+One shared pass/report/baseline infrastructure (:mod:`.framework`) over
+an AST project index (:mod:`.project`), used by two clients:
 
-* the **tape IR verifier** (:mod:`.tape_verifier`) — abstract
-  interpretation over compiled kernel tapes: shape/dtype lattice,
-  buffer def-use and aliasing proofs, backward cell dataflow.  A tape
-  with no findings is *statically certified*.
 * the **determinism/effect auditor** (:mod:`.effects`) — interprocedural
   AST effect inference over ``repro/distributed`` and ``repro/online``
   flagging paths by which ``SimulatedCluster.run`` /
   ``IncrementalTrainer.update`` results could depend on scheduling.
+  ``python -m repro.tooling.analyze`` drives it against a committed
+  findings baseline;
+* the repo-invariant lint pass (:mod:`repro.tooling.lint`).
 
-``python -m repro.tooling.analyze`` drives both against a committed
-findings baseline.  It is a CI check: nothing on the training path
-imports this package.
+Compiled tapes are checked dynamically, not here: ``Tape.replay_verified``
+re-runs each step eagerly and compares bitwise.  This package is a CI
+check: nothing on the training path imports it.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .framework import (
     UsageError,
 )
 from .project import FileEntry, FunctionInfo, ProjectIndex
-from .tape_verifier import TapeCertificate, certify
 
 __all__ = [
     "Baseline",
@@ -42,9 +40,7 @@ __all__ = [
     "FunctionInfo",
     "ProjectIndex",
     "Report",
-    "TapeCertificate",
     "UsageError",
     "audit",
     "audit_paths",
-    "certify",
 ]

@@ -1,7 +1,7 @@
 """Shared pass/report/baseline infrastructure for the static analyzers.
 
-Every front end — the tape IR verifier, the determinism/effect auditor,
-and the rebuilt lint pass — emits :class:`Finding` objects and reports
+Every front end — the determinism/effect auditor and the rebuilt lint
+pass — emits :class:`Finding` objects and reports
 them through the same machinery:
 
 * **Findings** carry a content-derived *fingerprint* that is stable under
@@ -59,9 +59,8 @@ class UsageError(Exception):
 class Finding:
     """One analyzer finding, front-end agnostic.
 
-    ``path`` is a repo-relative posix path for AST front ends and a tape
-    name (``tape:<model>/<signature>``) for the IR verifier; ``symbol`` is
-    the enclosing function/op context.  The fingerprint hashes everything
+    ``path`` is a repo-relative posix path; ``symbol`` is the enclosing
+    function context.  The fingerprint hashes everything
     *except* the line/column, so baselines survive unrelated line drift.
     """
 

@@ -75,6 +75,12 @@ def test_auc_error_cases():
         auc_score(np.ones(3), np.zeros(4))
 
 
+def test_auc_rejects_nan_scores():
+    labels = np.array([1.0, 0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="NaN"):
+        auc_score(labels, np.array([0.9, np.nan, 0.2, 0.1]))
+
+
 def test_mean_domain_auc_accepts_dict_and_list():
     assert mean_domain_auc({"a": 0.6, "b": 0.8}) == pytest.approx(0.7)
     assert mean_domain_auc([0.6, 0.8]) == pytest.approx(0.7)

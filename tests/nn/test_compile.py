@@ -10,6 +10,7 @@ primitive set at once.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import weakref
 from contextlib import nullcontext
@@ -20,16 +21,17 @@ import pytest
 from repro.core import TrainConfig, domain_negotiation_epoch
 from repro.core.regularization import domain_regularization_round
 from repro.core.param_space import DomainParameterSpace
-from repro.data import DomainSpec, SyntheticConfig, generate_dataset
+from repro.data import DomainSpec, SyntheticConfig, generate_dataset, sample_batch
 from repro.data.batching import Batch
-from repro.models import build_model
+from repro.models import MODEL_REGISTRY, build_model
 from repro.nn import Module, Parameter, eager_execution
 from repro.nn import functional as F
 from repro.nn import compile as compile_mod
 from repro.nn.compile import executor_for
 from repro.nn.optim import make_optimizer
-from repro.tooling.sanitizer import ReplayMismatchError
+from repro.tooling.sanitizer import ReplayMismatchError, replay_verify
 from repro.train import Session, SessionConfig
+from repro.utils import profiling
 from repro.utils.seeding import spawn_rng
 
 pytestmark = pytest.mark.compile_smoke
@@ -103,7 +105,7 @@ class TestReplayParity:
         optimizer = make_optimizer("adam", model.parameters(), 0.05)
         tape = executor_for(model).tape_for(make_batch(6, 0), optimizer)
         assert tape is not None, "omni step unexpectedly bailed to eager"
-        kinds = {rec.kind for rec in tape._trace_records}
+        kinds = {rec.kind for rec in tape._node_records}
         missing = set(compile_mod._FWD_KERNELS) - kinds
         assert not missing, f"primitives never traced: {sorted(missing)}"
 
@@ -125,6 +127,151 @@ class TestReplayParity:
         model.structure_flag = True
         with pytest.raises(ReplayMismatchError):
             tape.replay_verified(make_batch(6, 1), optimizer, model)
+
+
+ALL_MODELS = sorted(MODEL_REGISTRY)
+
+
+def registry_dataset(feature_mode):
+    specs = tuple(DomainSpec(f"C{i}", 80, 0.25 + 0.05 * i) for i in range(2))
+    return generate_dataset(SyntheticConfig(
+        name="oracle", domains=specs, n_users=60, n_items=40,
+        latent_dim=4, feature_mode=feature_mode, feature_dim=8, seed=0,
+    ))
+
+
+@pytest.fixture(scope="module")
+def fixed_dataset():
+    """The ``d0`` case: fixed (non-trainable) item features."""
+    return registry_dataset("fixed")
+
+
+@pytest.fixture(scope="module")
+def trainable_dataset():
+    """The ``columnar`` case: trainable embeddings."""
+    return registry_dataset("trainable")
+
+
+def columnar(batch):
+    """``batch`` in the columnar plane's dtypes: uint32 ids, float32 labels."""
+    return dataclasses.replace(
+        batch, users=batch.users.astype(np.uint32),
+        items=batch.items.astype(np.uint32),
+        labels=batch.labels.astype(np.float32),
+    )
+
+
+def registry_case(request, case):
+    """``(dataset, convert)`` of one oracle case."""
+    if case == "d0":
+        return request.getfixturevalue("fixed_dataset"), None
+    return request.getfixturevalue("trainable_dataset"), columnar
+
+
+def registry_batches(dataset, convert, seed, name):
+    rng = spawn_rng(seed, "oracle", "batch", name)
+    while True:
+        batch = sample_batch(dataset.domain(0).train, 0, 16, rng)
+        yield batch if convert is None else convert(batch)
+
+
+def trace_registry(dataset, name="mlp", convert=None):
+    model = build_model(name, dataset, seed=0)
+    optimizer = make_optimizer("adam", model.parameters(), 0.05)
+    batch = next(registry_batches(dataset, convert, 0, name))
+    tape = executor_for(model).tape_for(batch, optimizer)
+    assert tape is not None, f"{name} unexpectedly bailed out of compilation"
+    return model, optimizer, tape
+
+
+class TestRegistryOracle:
+    """The one tape check: ``replay_verified`` — replay, then re-run
+    eagerly and compare every op buffer and leaf gradient bitwise — on the
+    tape of every registry model, both with fixed features (``d0``) and
+    with trainable embeddings fed the columnar plane's dtypes
+    (``columnar``, the path the online trainer replays)."""
+
+    @pytest.mark.parametrize("case", ["d0", "columnar"])
+    @pytest.mark.parametrize("name", ALL_MODELS)
+    def test_every_registry_tape_replays_bitwise(self, request, name, case):
+        dataset, convert = registry_case(request, case)
+        model, optimizer, tape = trace_registry(dataset, name, convert)
+        batches = registry_batches(dataset, convert, 1, name)
+        for _ in range(2):
+            # raises ReplayMismatchError on the first bitwise divergence
+            tape.replay_verified(next(batches), optimizer, model)
+
+    @pytest.mark.parametrize("name, case", [("mlp", "d0"),
+                                            ("star", "columnar")])
+    def test_profiled_replay_is_bitwise_eager(self, request, name, case):
+        """``--trace`` runs replay through the profiled loops, which zip
+        kernels with their labels; they must compute the same bits."""
+        dataset, convert = registry_case(request, case)
+        model = build_model(name, dataset, seed=0)
+        optimizer = make_optimizer("adam", model.parameters(), 0.05)
+        executor = executor_for(model)
+        batches = registry_batches(dataset, convert, 1, name)
+        with profiling.profile() as prof, replay_verify():
+            for _ in range(4):
+                executor.step(next(batches), optimizer)
+        assert executor.traces == 1 and executor.replays == 3
+        assert any(op.startswith("tape.fwd.") for op in prof.ops)
+        assert any(op.startswith("tape.bwd.") for op in prof.ops)
+
+    def test_profiled_replay_catches_truncated_labels(self, fixed_dataset):
+        """The profiled forward loop runs one kernel per label: a label
+        list shorter than the schedule skips kernels and must not pass."""
+        model, optimizer, tape = trace_registry(fixed_dataset)
+        tape._forward_kinds = list(tape._forward_kinds)[:-1]
+        batches = registry_batches(fixed_dataset, None, 1, "mlp")
+        tape.replay_verified(next(batches), optimizer, model)
+        with profiling.profile(), pytest.raises(ReplayMismatchError):
+            tape.replay_verified(next(batches), optimizer, model)
+
+
+class TestPlantedBugs:
+    """Bugs planted into a real compiled ``mlp`` tape after tracing must
+    make ``replay_verified`` raise."""
+
+    def check_raises(self, dataset, model, optimizer, tape):
+        batch = next(registry_batches(dataset, None, 1, "mlp"))
+        with pytest.raises(ReplayMismatchError):
+            tape.replay_verified(batch, optimizer, model)
+
+    def test_aliasing_overwrite_is_caught(self, fixed_dataset):
+        model, optimizer, tape = trace_registry(fixed_dataset)
+        victims = [
+            rec for rec in tape._node_records
+            if rec.kind in ("tanh", "sigmoid", "relu", "add", "mul")
+        ]
+        donor = next(
+            rec for rec in tape._node_records
+            if rec is not victims[-1]
+            and rec.out.data.shape == victims[-1].out.data.shape
+        )
+        # Plant: two kernels now write the same buffer — every consumer of
+        # the first write reads after an in-place overwrite.
+        victims[-1].out.data = donor.out.data
+        self.check_raises(fixed_dataset, model, optimizer, tape)
+
+    def test_dtype_drift_is_caught(self, fixed_dataset):
+        model, optimizer, tape = trace_registry(fixed_dataset)
+        rec = next(r for r in tape._node_records if r.kind == "fused_dense")
+        rec.out.data = rec.out.data.astype("float32")  # planted downcast
+        self.check_raises(fixed_dataset, model, optimizer, tape)
+
+    def test_shape_corruption_is_caught(self, fixed_dataset):
+        model, optimizer, tape = trace_registry(fixed_dataset)
+        rec = next(r for r in tape._node_records if r.kind == "fused_dense")
+        rec.out.data = np.zeros(rec.out.data.shape + (1,))
+        self.check_raises(fixed_dataset, model, optimizer, tape)
+
+    def test_dropped_forward_kernel_is_caught(self, fixed_dataset):
+        model, optimizer, tape = trace_registry(fixed_dataset)
+        index = tape._forward_kinds.index("fused_dense")
+        del tape._forward[index]
+        del tape._forward_kinds[index]
+        self.check_raises(fixed_dataset, model, optimizer, tape)
 
 
 class TestGuards:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core import TrainConfig, train_space
 from repro.data.batching import full_batch
-from repro.metrics import auc_score
 from repro.models import build_model
 from repro.online import GateConfig, GatedPublisher, ValidationGate
 from repro.serving import SnapshotStore
@@ -40,6 +40,14 @@ def corrupt(states, scale=5.0, seed=99):
             name: value + rng.normal(0.0, scale, size=value.shape)
             for name, value in state.items()
         }
+        for domain, state in states.items()
+    }
+
+
+def all_nan(states):
+    return {
+        domain: {name: np.full_like(value, np.nan)
+                 for name, value in state.items()}
         for domain, state in states.items()
     }
 
@@ -100,6 +108,24 @@ def test_small_domains_cannot_veto(skeleton, candidate):
     decision = gate.evaluate(corrupt(states), holdouts)
     assert decision.accepted
     assert all(not v.enforced for v in decision.verdicts.values())
+
+
+def test_non_finite_candidate_is_rejected(skeleton, candidate):
+    """NaN compares false against every bound and has no rank: an all-NaN
+    candidate fails closed at bootstrap and against a baseline, even in
+    domains below min_samples."""
+    states, default, holdouts = candidate
+    broken = all_nan(states)
+    baseline = SnapshotStore().publish_states(states, default_state=default)
+    for config in (GateConfig(), GateConfig(min_samples=10_000)):
+        gate = ValidationGate(make_stream_model(skeleton), config)
+        for against in (None, baseline):
+            decision = gate.evaluate(broken, holdouts, baseline=against)
+            assert not decision.accepted
+            assert decision.reasons == [
+                f"domain {d}: non-finite scores"
+                for d in sorted(decision.verdicts)
+            ]
 
 
 def test_bootstrap_slack_widens_calibration_only_without_baseline(
@@ -172,6 +198,17 @@ def test_reject_rolls_back_and_quarantines(skeleton, candidate):
     assert store.version == recovery.version
 
 
+def test_non_finite_candidate_keeps_previous_version_serving(
+        skeleton, candidate):
+    states, default, holdouts = candidate
+    publisher, store = make_publisher(skeleton)
+    publisher.publish(states, default, holdouts, key=1)
+    result = publisher.publish(all_nan(states), default, holdouts, key=2)
+    assert not result.accepted
+    assert result.served_version == store.version == 1
+    assert all("non-finite scores" in r for r in result.quarantine.reasons)
+
+
 def test_rollback_survives_retention_pressure(skeleton, candidate):
     """keep=1 is the worst case: the baseline must still be retained when
     the gate fails, because _prune never evicts the rollback anchor."""
@@ -200,10 +237,9 @@ def test_bootstrap_failure_raises(skeleton, candidate):
 class FullLoadGate(ValidationGate):
     """The gate as it scored before the row path: whole tables per state."""
 
-    def score_state(self, state, holdout, domain):
+    def predict(self, state, holdout, domain):
         self.model.load_state_dict(state)
-        scores = self.model.predict(full_batch(holdout, domain))
-        return float(auc_score(holdout.labels, scores)), float(scores.mean())
+        return self.model.predict(full_batch(holdout, domain))
 
 
 def trained_states(model_name, dataset, seed):

@@ -5,11 +5,16 @@ baseline."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
+import repro
+from repro.tooling import analyze
 from repro.tooling.analyzer import Baseline, ProjectIndex, audit, audit_paths
 
 pytestmark = pytest.mark.analyzer
@@ -221,3 +226,38 @@ class TestRealRuntime:
         ])
         baseline = Baseline.load(REPO_ROOT / "analyzer_baseline.json")
         assert baseline.stale_entries(findings) == []
+
+    def test_analyze_runs_from_any_working_directory(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """The default audit paths resolve from the package directory, and
+        findings stay repo-relative, so the committed baseline matches."""
+        monkeypatch.chdir(tmp_path)
+        baseline = REPO_ROOT / "analyzer_baseline.json"
+        assert analyze.main(["--baseline", str(baseline)]) == 0
+        assert "0 finding(s) — ok" in capsys.readouterr().out
+
+
+class TestProductPath:
+    def test_fit_does_not_import_the_analyzer(self):
+        """Training never certifies: a short ``Session.fit`` in a fresh
+        interpreter leaves ``repro.tooling.analyzer`` unimported."""
+        script = textwrap.dedent("""
+            import sys
+            from repro.train import Session, SessionConfig
+            config = SessionConfig(
+                dataset="taobao10_sim", scale=0.3, model="mlp", seed=0,
+                train={"epochs": 1},
+            )
+            Session(config).fit()
+            loaded = sorted(m for m in sys.modules
+                            if m.startswith("repro.tooling.analyzer"))
+            print(loaded)
+            sys.exit(1 if loaded else 0)
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=300,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
