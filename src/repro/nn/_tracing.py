@@ -1,10 +1,10 @@
 """Trace hook shared by the autodiff engine and the compiled executor.
 
 ``repro.nn.compile`` installs a tracer here for the duration of exactly one
-eager training step; the op sites in ``tensor.py`` / ``functional.py`` report
-every primitive node they create (plus the data-dependent auxiliary leaves:
-dropout masks, softmax max-shifts, fixed-feature gathers) so the executor can
-compile the step into a replayable tape.
+eager training step; ``Tensor._make`` reports every graph node, and three
+hooks in ``functional.py`` report the data-dependent auxiliary leaves
+(dropout masks, softmax max-shifts, fixed-feature gathers), so the executor
+can compile the step into a replayable tape.
 
 This module deliberately holds nothing but the hook slot — no imports from
 ``repro.nn`` — so both the engine and the compiler can import it without

@@ -10,19 +10,21 @@ dominates wall-clock over the actual (small) numpy math.
 This module removes it with a trace-once / replay-many executor:
 
 * **Trace** — the first step for a given input signature runs *eagerly*
-  (so it is always correct), while the op sites in ``tensor.py`` /
-  ``functional.py`` report every primitive node through the
-  ``repro.nn._tracing`` hook.  Data-dependent constants (dropout masks,
-  softmax max-shifts, fixed-feature gathers) are reported too, with enough
-  context to regenerate them.
+  (so it is always correct), while ``Tensor._make`` reports every graph
+  node through the ``repro.nn._tracing`` hook.  Data-dependent constants
+  (dropout masks, softmax max-shifts, fixed-feature gathers) are reported
+  too, with enough context to regenerate them.
 * **Compile** — the recorded graph is flattened into a :class:`Tape`: a
   preallocated forward schedule that recomputes every node's buffer
-  *in place* and a backward schedule that invokes the original recorded
-  VJP closures in exactly the order ``Tensor.backward`` would have used.
-  Because the closures captured the very buffers the forward schedule
-  rewrites, replay is **bitwise identical** to eager execution (asserted
-  per-primitive by the sanitizer's
-  :func:`repro.tooling.sanitizer.replay_verify` mode).
+  *in place* and a backward schedule that runs the VJPs in exactly the
+  order ``Tensor.backward`` would have used.  A table op
+  (:data:`repro.nn.tensor.PRIMITIVES`) compiles generically: its entry's
+  forward writes the node's buffer and its VJP reads the env slots — the
+  very functions eager runs.  The other ops keep a forward kernel here
+  and replay their recorded VJP closures, which captured the very buffers
+  the forward schedule rewrites.  Either way replay is **bitwise
+  identical** to eager execution (asserted per-primitive by the
+  sanitizer's :func:`repro.tooling.sanitizer.replay_verify` mode).
 * **Replay** — subsequent steps with the same signature execute the flat
   schedules: no ``Tensor`` allocation, no per-op dispatch, no toposort —
   then call the optimizer's own ``step()``.
@@ -67,7 +69,7 @@ from ..utils import profiling
 from . import _tracing
 from .module import Parameter
 from .sparse import SparseGrad, accumulate_grad, sparse_grads_enabled
-from .tensor import _stable_sigmoid
+from .tensor import PRIMITIVES, _stable_sigmoid
 
 __all__ = [
     "CompileBail",
@@ -339,7 +341,7 @@ class _TapeBuilder:
                 # ``weight_domain[domain]``): own it and recompute per step.
                 # lint: allow[data-mutation] — tracer-owned buffer.
                 out.data = np.array(out.data)
-        builder = _FWD_KERNELS.get(rec.kind)
+        builder = _fwd_table if rec.kind in PRIMITIVES else _FWD_KERNELS.get(rec.kind)
         if builder is None:
             raise CompileBail(f"no forward kernel for op {rec.kind!r}")
         kernel = builder(self, rec)
@@ -378,12 +380,15 @@ class _TapeBuilder:
                 else:
                     targets.append((pci, False))
             rec = self.recmap[id(node)]
+            targets = tuple(targets)
             step = None
             fast = _BWD_KERNELS.get(rec.kind)
             if fast is not None:
-                step = fast(self, rec, ci, tuple(targets))
+                step = fast(self, rec, ci, targets)
             if step is None:
-                step = _backward_step(node._backward, ci, tuple(targets))
+                bw = (_table_vjp(self, rec, targets) if rec.kind in PRIMITIVES
+                      else node._backward)
+                step = _backward_step(bw, ci, targets)
             steps.append(step)
             step_kinds.append(rec.kind)
         return steps, step_kinds, leaf_cells, ncells
@@ -418,8 +423,26 @@ class _TapeBuilder:
         )
 
 
+def _table_vjp(b, rec, targets):
+    """A table op's VJP over its env slots and output buffer.
+
+    ``needs`` is static: a target is ``None`` exactly when eager's
+    ``requires_grad`` check would skip that parent.
+    """
+    vjp, aux = PRIMITIVES[rec.kind].vjp, rec.aux
+    slots = [b.slot_for(p) for p in rec.parents]
+    env, buf = b.env, rec.out.data
+    needs = tuple(t is not None for t in targets)
+
+    def run(g):
+        return vjp(g, buf, *[env[i] for i in slots], needs=needs, **aux)
+
+    return run
+
+
 def _backward_step(bw, in_cell, targets):
-    """One compiled backward step: original VJP closure + static scatter.
+    """One compiled backward step: a VJP (a table entry's, or a non-table
+    op's recorded closure) + static scatter.
 
     The dynamic ``None``/sparse guards mirror ``Tensor.backward`` exactly:
     interior sparse grads densify before the VJP, ``None`` parent grads are
@@ -450,12 +473,11 @@ def _backward_step(bw, in_cell, targets):
 # ----------------------------------------------------------------------
 # Fast backward kernels.
 #
-# The generic path above reruns the recorded VJP closures — always correct,
-# but each closure allocates fresh gradient arrays and (like eager) wastes
-# work computing gradients for parents that don't need one.  For the hot
-# ops, these builders emit specialized steps over preallocated buffers that
-# produce the SAME ufunc sequence per needed gradient (bitwise parity is
-# asserted by the replay-verification tests, per primitive).  A builder
+# The generic path above calls a VJP — always correct, but it allocates
+# fresh gradient arrays.  For the hot non-table ops, these builders emit
+# specialized steps over preallocated buffers that produce the SAME ufunc
+# sequence per needed gradient (bitwise parity is asserted by the
+# replay-verification tests, per primitive).  A builder
 # returns ``None`` for any configuration it cannot match exactly — shapes
 # that would engage ``unbroadcast``, accumulation into an existing cell —
 # and the step falls back to the recorded closure.
@@ -596,38 +618,6 @@ def _bwd_concat(b, rec, in_cell, targets):
     return run
 
 
-def _bwd_mul(b, rec, in_cell, targets):
-    if not _first_writes_only(targets):
-        return None
-    outshape = rec.out.data.shape
-    pairs = []
-    for me, other, target in (
-        (rec.parents[0], rec.parents[1], targets[0]),
-        (rec.parents[1], rec.parents[0], targets[1]),
-    ):
-        if target is None:
-            continue
-        if me.data.shape != outshape:
-            return None  # eager would unbroadcast this gradient
-        pairs.append((b.slot_for(other), target[0], np.empty(outshape)))
-    if not pairs:
-        return None
-    env = b.env
-
-    def run(cells):
-        g = cells[in_cell]
-        if g is None:
-            return
-        if isinstance(g, SparseGrad):
-            # lint: allow[dense-grad-materialization] — dense-only replay.
-            g = g.to_dense()
-        for oi, cell, buf in pairs:
-            np.multiply(g, env[oi], out=buf)
-            cells[cell] = buf
-
-    return run
-
-
 def _bwd_embedding(b, rec, in_cell, targets):
     target = targets[0]
     if target is None or not target[1]:
@@ -651,7 +641,6 @@ _BWD_KERNELS = {
     "fused_dense": _bwd_fused_dense,
     "bce": _bwd_bce,
     "concat": _bwd_concat,
-    "mul": _bwd_mul,
     "embedding": _bwd_embedding,
 }
 
@@ -660,111 +649,21 @@ _BWD_KERNELS = {
 # Forward kernels.
 #
 # Every kernel recomputes the eager forward expression for its op and
-# writes the result into the trace-time output buffer *in place* (either
-# with the identical ``out=`` ufunc, or by computing the expression exactly
-# as the eager op does and copying — a bit-preserving copy).  In-place is
-# what makes the recorded backward closures — which captured these very
-# buffers — see fresh values on replay.
+# writes the result into the trace-time output buffer *in place*.  A table
+# op runs its entry's own forward with ``out=``; the non-table builders
+# below either use the identical ``out=`` ufunc or compute the expression
+# exactly as the eager op does and copy — a bit-preserving copy.  In-place
+# is what makes the recorded backward closures of non-table ops — which
+# captured these very buffers — see fresh values on replay.
 # ----------------------------------------------------------------------
 
-def _binary(ufunc):
-    def build(b, rec):
-        a, c = (b.slot_for(p) for p in rec.parents)
-        env, buf = b.env, rec.out.data
-
-        def run():
-            ufunc(env[a], env[c], out=buf)
-
-        return run
-
-    return build
-
-
-def _unary(ufunc):
-    def build(b, rec):
-        a = b.slot_for(rec.parents[0])
-        env, buf = b.env, rec.out.data
-
-        def run():
-            ufunc(env[a], out=buf)
-
-        return run
-
-    return build
-
-
-def _fwd_pow(b, rec):
-    a = b.slot_for(rec.parents[0])
-    env, buf, exponent = b.env, rec.out.data, rec.aux["exponent"]
-
-    def run():
-        # ``**`` (not np.power) so numpy's scalar-exponent fast paths
-        # (square, sqrt, reciprocal) match the eager op bit-for-bit.
-        np.copyto(buf, env[a] ** exponent)
-
-    return run
-
-
-def _fwd_matmul(b, rec):
-    a, c = (b.slot_for(p) for p in rec.parents)
+def _fwd_table(b, rec):
+    forward, aux = PRIMITIVES[rec.kind].forward, rec.aux
+    slots = [b.slot_for(p) for p in rec.parents]
     env, buf = b.env, rec.out.data
 
     def run():
-        np.matmul(env[a], env[c], out=buf)
-
-    return run
-
-
-def _fwd_sigmoid(b, rec):
-    a = b.slot_for(rec.parents[0])
-    env, buf = b.env, rec.out.data
-
-    def run():
-        np.copyto(buf, _stable_sigmoid(env[a]))
-
-    return run
-
-
-def _fwd_relu(b, rec):
-    a = b.slot_for(rec.parents[0])
-    env, buf, mask = b.env, rec.out.data, rec.aux["mask"]
-
-    def run():
-        np.greater(env[a], 0.0, out=mask)
-        np.multiply(env[a], mask, out=buf)
-
-    return run
-
-
-def _fwd_softplus(b, rec):
-    a = b.slot_for(rec.parents[0])
-    env, buf = b.env, rec.out.data
-
-    def run():
-        x = env[a]
-        np.copyto(buf, np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
-
-    return run
-
-
-def _fwd_abs(b, rec):
-    a = b.slot_for(rec.parents[0])
-    env, buf, sign = b.env, rec.out.data, rec.aux["sign"]
-
-    def run():
-        np.sign(env[a], out=sign)
-        np.absolute(env[a], out=buf)
-
-    return run
-
-
-def _fwd_sum(b, rec):
-    a = b.slot_for(rec.parents[0])
-    env, buf = b.env, rec.out.data
-    axis, keepdims = rec.aux["axis"], rec.aux["keepdims"]
-
-    def run():
-        np.copyto(buf, env[a].sum(axis=axis, keepdims=keepdims))
+        forward(*[env[i] for i in slots], out=buf, **aux)
 
     return run
 
@@ -808,19 +707,6 @@ def _fwd_getitem(b, rec):
 
     def run():
         np.copyto(buf, env[a][index])
-
-    return run
-
-
-def _fwd_leaky_relu(b, rec):
-    a = b.slot_for(rec.parents[0])
-    env, buf = b.env, rec.out.data
-    scale, slope = rec.aux["scale"], rec.aux["negative_slope"]
-
-    def run():
-        x = env[a]
-        np.copyto(scale, np.where(x > 0.0, 1.0, slope))
-        np.multiply(x, scale, out=buf)
 
     return run
 
@@ -937,27 +823,10 @@ def _fwd_bce(b, rec):
 
 
 _FWD_KERNELS = {
-    "add": _binary(np.add),
-    "sub": _binary(np.subtract),
-    "mul": _binary(np.multiply),
-    "div": _binary(np.divide),
-    "neg": _unary(np.negative),
-    "pow": _fwd_pow,
-    "matmul": _fwd_matmul,
-    "exp": _unary(np.exp),
-    "log": _unary(np.log),
-    "sqrt": _unary(np.sqrt),
-    "tanh": _unary(np.tanh),
-    "sigmoid": _fwd_sigmoid,
-    "relu": _fwd_relu,
-    "softplus": _fwd_softplus,
-    "abs": _fwd_abs,
-    "sum": _fwd_sum,
     "reshape": _fwd_reshape,
     "transpose": _fwd_transpose,
     "swapaxes": _fwd_swapaxes,
     "getitem": _fwd_getitem,
-    "leaky_relu": _fwd_leaky_relu,
     "concat": _fwd_concat,
     "stack": _fwd_stack,
     "embedding": _fwd_embedding,

@@ -1,8 +1,10 @@
 """Functional building blocks composed from :class:`~repro.nn.tensor.Tensor`.
 
-Everything here is differentiable (where meaningful) and built either from
-primitives defined on ``Tensor`` or as new primitives with hand-written
-backward passes (``concat``, ``embedding``), all covered by gradcheck tests.
+Everything here is differentiable (where meaningful) and built from the
+table primitives of :data:`repro.nn.tensor.PRIMITIVES` (``leaky_relu`` is
+one) or as ``Tensor._make`` primitives with hand-written backward passes
+(``concat``, ``stack``, ``embedding`` and the fused kernels below), all
+covered by gradcheck tests.
 
 Hot-path ops come in fused single-node form: ``embedding`` emits a
 :class:`~repro.nn.sparse.SparseGrad` instead of a dense full-table scatter,
@@ -18,7 +20,7 @@ import numpy as np
 
 from ..utils import profiling
 from . import _tracing, sparse
-from .tensor import Tensor, _stable_sigmoid, as_tensor, unbroadcast
+from .tensor import Tensor, _apply, _stable_sigmoid, as_tensor, unbroadcast
 
 __all__ = [
     "relu",
@@ -58,14 +60,7 @@ def softplus(x):
 
 
 def leaky_relu(x, negative_slope=0.01):
-    x = as_tensor(x)
-    mask = x.data > 0.0
-    scale = np.where(mask, 1.0, negative_slope)
-    out = Tensor._make(x.data * scale, (x,), lambda g: (g * scale,))
-    if _tracing.TRACER is not None:
-        _tracing.TRACER.node(out, "leaky_relu", (x,), scale=scale,
-                             negative_slope=negative_slope)
-    return out
+    return _apply("leaky_relu", as_tensor(x), negative_slope=negative_slope)
 
 
 def softmax(x, axis=-1):
@@ -110,10 +105,7 @@ def concat(tensors, axis=-1):
     def backward(g):
         return tuple(np.split(g, boundaries, axis=axis))
 
-    out = Tensor._make(data, tuple(tensors), backward)
-    if _tracing.TRACER is not None:
-        _tracing.TRACER.node(out, "concat", tuple(tensors), axis=axis)
-    return out
+    return Tensor._make(data, tuple(tensors), backward, "concat", axis=axis)
 
 
 def stack(tensors, axis=0):
@@ -124,10 +116,7 @@ def stack(tensors, axis=0):
     def backward(g):
         return tuple(np.moveaxis(g, axis, 0))
 
-    out = Tensor._make(data, tuple(tensors), backward)
-    if _tracing.TRACER is not None:
-        _tracing.TRACER.node(out, "stack", tuple(tensors), axis=axis)
-    return out
+    return Tensor._make(data, tuple(tensors), backward, "stack", axis=axis)
 
 
 def embedding(weight, indices):
@@ -157,10 +146,7 @@ def embedding(weight, indices):
     start = profiling.tick()
     out = weight.data[indices]
     profiling.tock("embedding.forward", start, out.nbytes)
-    node = Tensor._make(out, (weight,), backward)
-    if _tracing.TRACER is not None:
-        _tracing.TRACER.node(node, "embedding", (weight,), indices=indices)
-    return node
+    return Tensor._make(out, (weight,), backward, "embedding", indices=indices)
 
 
 def fixed_gather(matrix, indices):
@@ -248,11 +234,8 @@ def fused_dense(x, weight, bias=None, activation="linear"):
             return grad_x, grad_w
         return grad_x, grad_w, unbroadcast(gz, bias_t.shape)
 
-    node = Tensor._make(out, parents, backward)
-    if _tracing.TRACER is not None:
-        _tracing.TRACER.node(node, "fused_dense", parents, activation=activation,
-                             saved_out=out)
-    return node
+    return Tensor._make(out, parents, backward, "fused_dense",
+                        activation=activation, saved_out=out)
 
 
 def bce_with_logits(logits, labels, sample_weight=None):
@@ -315,11 +298,8 @@ def bce_with_logits(logits, labels, sample_weight=None):
         profiling.tock("loss.bce_fused_backward", start)
         return grads
 
-    node = Tensor._make(np.asarray(out), parents, backward)
-    if _tracing.TRACER is not None:
-        _tracing.TRACER.node(node, "bce", parents, per_sample=per_sample,
-                             weighted=weighted, x=x, y=y)
-    return node
+    return Tensor._make(np.asarray(out), parents, backward, "bce",
+                        per_sample=per_sample, weighted=weighted, x=x, y=y)
 
 
 def bce_with_logits_reference(logits, labels, sample_weight=None):

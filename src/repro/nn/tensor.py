@@ -16,6 +16,8 @@ central finite differences in ``tests/nn/test_gradcheck.py``.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+from collections.abc import Callable
 from contextvars import ContextVar
 
 import numpy as np
@@ -26,6 +28,8 @@ from .sparse import SparseGrad, accumulate_grad
 
 __all__ = [
     "Tensor",
+    "Primitive",
+    "PRIMITIVES",
     "as_tensor",
     "no_grad",
     "is_grad_enabled",
@@ -180,8 +184,13 @@ class Tensor:
     # Graph construction
     # ------------------------------------------------------------------
     @staticmethod
-    def _make(data, parents, backward_fn):
-        """Create a result tensor, recording the graph when enabled."""
+    def _make(data, parents, backward_fn, op, **aux):
+        """Create a result tensor: the one site that records a graph node.
+
+        ``op`` is the node's kind — the sanitizer's name for it and the
+        tracer's record kind; ``aux`` is what a compiled replay needs to
+        recompute it.
+        """
         track = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=track)
         if track:
@@ -190,7 +199,9 @@ class Tensor:
         if _sanitizer._ACTIVE:
             # Sanitizer/anomaly bookkeeping: saved operand versions, op
             # name, creation stack, forward NaN/Inf check.
-            _sanitizer.on_node_created(out, parents, backward_fn)
+            _sanitizer.on_node_created(out, parents, op)
+        if _tracing.TRACER is not None:
+            _tracing.TRACER.node(out, op, tuple(parents), **aux)
         return out
 
     def backward(self, grad=None):
@@ -258,180 +269,72 @@ class Tensor:
                     grads[key] = parent_grad
 
     # ------------------------------------------------------------------
-    # Elementwise arithmetic
+    # Table primitives (forward and VJP live in PRIMITIVES below)
     # ------------------------------------------------------------------
     def __add__(self, other):
-        other = as_tensor(other)
-        out = Tensor._make(
-            self.data + other.data,
-            (self, other),
-            lambda g: (unbroadcast(g, self.shape), unbroadcast(g, other.shape)),
-        )
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "add", (self, other))
-        return out
+        return _apply("add", self, as_tensor(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_tensor(other)
-        out = Tensor._make(
-            self.data - other.data,
-            (self, other),
-            lambda g: (unbroadcast(g, self.shape), unbroadcast(-g, other.shape)),
-        )
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "sub", (self, other))
-        return out
+        return _apply("sub", self, as_tensor(other))
 
     def __rsub__(self, other):
         return as_tensor(other) - self
 
     def __mul__(self, other):
-        other = as_tensor(other)
-        out = Tensor._make(
-            self.data * other.data,
-            (self, other),
-            lambda g: (
-                unbroadcast(g * other.data, self.shape),
-                unbroadcast(g * self.data, other.shape),
-            ),
-        )
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "mul", (self, other))
-        return out
+        return _apply("mul", self, as_tensor(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_tensor(other)
-        out = Tensor._make(
-            self.data / other.data,
-            (self, other),
-            lambda g: (
-                unbroadcast(g / other.data, self.shape),
-                unbroadcast(-g * self.data / (other.data ** 2), other.shape),
-            ),
-        )
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "div", (self, other))
-        return out
+        return _apply("div", self, as_tensor(other))
 
     def __rtruediv__(self, other):
         return as_tensor(other) / self
 
     def __neg__(self):
-        out = Tensor._make(-self.data, (self,), lambda g: (-g,))
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "neg", (self,))
-        return out
+        return _apply("neg", self)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        data = self.data ** exponent
-        out = Tensor._make(
-            data,
-            (self,),
-            lambda g: (g * exponent * self.data ** (exponent - 1),),
-        )
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "pow", (self,), exponent=exponent)
-        return out
+        return _apply("pow", self, exponent=exponent)
 
-    # ------------------------------------------------------------------
-    # Matrix multiplication (supports batched operands, ndim >= 2)
-    # ------------------------------------------------------------------
     def __matmul__(self, other):
+        """Matrix product; supports batched operands (ndim >= 2)."""
         other = as_tensor(other)
         if self.ndim < 2 or other.ndim < 2:
             raise ValueError("matmul requires ndim >= 2 operands")
+        return _apply("matmul", self, other)
 
-        def backward(g):
-            grad_self = unbroadcast(np.matmul(g, np.swapaxes(other.data, -1, -2)), self.shape)
-            grad_other = unbroadcast(np.matmul(np.swapaxes(self.data, -1, -2), g), other.shape)
-            return grad_self, grad_other
-
-        out = Tensor._make(np.matmul(self.data, other.data), (self, other), backward)
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "matmul", (self, other))
-        return out
-
-    # ------------------------------------------------------------------
-    # Nonlinearities used pervasively enough to be primitives
-    # ------------------------------------------------------------------
     def exp(self):
-        data = np.exp(self.data)
-        out = Tensor._make(data, (self,), lambda g: (g * data,))
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "exp", (self,))
-        return out
+        return _apply("exp", self)
 
     def log(self):
-        out = Tensor._make(np.log(self.data), (self,), lambda g: (g / self.data,))
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "log", (self,))
-        return out
+        return _apply("log", self)
 
     def sqrt(self):
-        data = np.sqrt(self.data)
-        out = Tensor._make(data, (self,), lambda g: (g / (2.0 * data),))
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "sqrt", (self,))
-        return out
+        return _apply("sqrt", self)
 
     def tanh(self):
-        data = np.tanh(self.data)
-        out = Tensor._make(data, (self,), lambda g: (g * (1.0 - data ** 2),))
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "tanh", (self,))
-        return out
+        return _apply("tanh", self)
 
     def sigmoid(self):
-        data = _stable_sigmoid(self.data)
-        out = Tensor._make(data, (self,), lambda g: (g * data * (1.0 - data),))
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "sigmoid", (self,))
-        return out
+        return _apply("sigmoid", self)
 
     def relu(self):
-        mask = self.data > 0.0
-        out = Tensor._make(self.data * mask, (self,), lambda g: (g * mask,))
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "relu", (self,), mask=mask)
-        return out
+        return _apply("relu", self)
 
     def softplus(self):
         """Numerically stable log(1 + exp(x)); gradient is sigmoid(x)."""
-        data = np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data)))
-        out = Tensor._make(data, (self,), lambda g: (g * _stable_sigmoid(self.data),))
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "softplus", (self,))
-        return out
+        return _apply("softplus", self)
 
     def abs(self):
-        sign = np.sign(self.data)
-        out = Tensor._make(np.abs(self.data), (self,), lambda g: (g * sign,))
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "abs", (self,), sign=sign)
-        return out
+        return _apply("abs", self)
 
-    # ------------------------------------------------------------------
-    # Reductions
-    # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims=False):
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            grad = g
-            if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis=axis)
-            return (np.broadcast_to(grad, self.shape).copy(),)
-
-        out = Tensor._make(data, (self,), backward)
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "sum", (self,), axis=axis, keepdims=keepdims)
-        return out
+        return _apply("sum", self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):
         if axis is None:
@@ -451,14 +354,12 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         original = self.shape
-        out = Tensor._make(
+        return Tensor._make(
             self.data.reshape(shape),
             (self,),
             lambda g: (g.reshape(original),),
+            "reshape", shape=shape,
         )
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "reshape", (self,), shape=shape)
-        return out
 
     def transpose(self, *axes):
         if not axes:
@@ -466,24 +367,20 @@ class Tensor:
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inverse = np.argsort(axes)
-        out = Tensor._make(
+        return Tensor._make(
             self.data.transpose(axes),
             (self,),
             lambda g: (g.transpose(inverse),),
+            "transpose", axes=axes,
         )
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "transpose", (self,), axes=axes)
-        return out
 
     def swapaxes(self, axis_a, axis_b):
-        out = Tensor._make(
+        return Tensor._make(
             np.swapaxes(self.data, axis_a, axis_b),
             (self,),
             lambda g: (np.swapaxes(g, axis_a, axis_b),),
+            "swapaxes", axes=(axis_a, axis_b),
         )
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "swapaxes", (self,), axes=(axis_a, axis_b))
-        return out
 
     def __getitem__(self, index):
         data = self.data[index]
@@ -493,10 +390,7 @@ class Tensor:
             np.add.at(grad, index, g)
             return (grad,)
 
-        out = Tensor._make(data, (self,), backward)
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, "getitem", (self,), index=index)
-        return out
+        return Tensor._make(data, (self,), backward, "getitem", index=index)
 
     # ------------------------------------------------------------------
     # Comparisons (return plain numpy, never differentiable)
@@ -508,11 +402,140 @@ class Tensor:
         return self.data < (other.data if isinstance(other, Tensor) else other)
 
 
-def _stable_sigmoid(x):
+def _stable_sigmoid(x, out=None):
     """Sigmoid computed without overflow for large |x|."""
-    out = np.empty_like(x)
+    if out is None:
+        out = np.empty_like(x)
     positive = x >= 0
     out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
     exp_x = np.exp(x[~positive])
     out[~positive] = exp_x / (1.0 + exp_x)
     return out
+
+
+@dataclasses.dataclass(frozen=True)
+class Primitive:
+    """One differentiable op, written once for eager execution and replay.
+
+    ``forward(*inputs, out=None, **aux)`` returns the result, written into
+    ``out`` when a buffer is given (a plain ufunc is its own forward).
+    ``vjp(g, out, *inputs, needs, **aux)`` returns one gradient per input,
+    ``None`` where ``needs`` is false.  Eager execution calls both on fresh
+    arrays, :mod:`repro.nn.compile` on its preallocated buffers — the same
+    function, so the same bits.
+    """
+
+    name: str
+    forward: Callable
+    vjp: Callable
+
+
+def _apply(name, *inputs, **aux):
+    """Run table primitive ``name`` eagerly and record its node."""
+    prim = PRIMITIVES[name]
+    arrays = [t.data for t in inputs]
+    # asarray: a 0-d result comes back as a numpy scalar, and the node's
+    # buffer must be the very array its VJP reads.
+    data = np.asarray(prim.forward(*arrays, **aux))
+
+    def backward(g):
+        needs = tuple(t.requires_grad for t in inputs)
+        return prim.vjp(g, data, *arrays, needs=needs, **aux)
+
+    return Tensor._make(data, inputs, backward, name, **aux)
+
+
+def _into(out, result):
+    """``result``, copied into ``out`` when a buffer is given."""
+    if out is None:
+        return result
+    np.copyto(out, result)
+    return out
+
+
+def _add_vjp(g, out, a, b, needs):
+    return (unbroadcast(g, a.shape) if needs[0] else None,
+            unbroadcast(g, b.shape) if needs[1] else None)
+
+
+def _sub_vjp(g, out, a, b, needs):
+    return (unbroadcast(g, a.shape) if needs[0] else None,
+            unbroadcast(-g, b.shape) if needs[1] else None)
+
+
+def _mul_vjp(g, out, a, b, needs):
+    return (unbroadcast(g * b, a.shape) if needs[0] else None,
+            unbroadcast(g * a, b.shape) if needs[1] else None)
+
+
+def _div_vjp(g, out, a, b, needs):
+    return (unbroadcast(g / b, a.shape) if needs[0] else None,
+            unbroadcast(-g * a / (b ** 2), b.shape) if needs[1] else None)
+
+
+def _matmul_vjp(g, out, a, b, needs):
+    return (
+        unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape)
+        if needs[0] else None,
+        unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape)
+        if needs[1] else None,
+    )
+
+
+def _pow_forward(x, out=None, *, exponent):
+    # ``**`` (not np.power) so numpy's scalar-exponent fast paths
+    # (square, sqrt, reciprocal) apply; np.power would change the bits.
+    return _into(out, x ** exponent)
+
+
+def _relu_forward(x, out=None):
+    return np.multiply(x, x > 0.0, out=out)
+
+
+def _softplus_forward(x, out=None):
+    return np.add(np.maximum(x, 0.0), np.log1p(np.exp(-np.abs(x))), out=out)
+
+
+def _sum_forward(x, out=None, *, axis, keepdims):
+    return _into(out, x.sum(axis=axis, keepdims=keepdims))
+
+
+def _sum_vjp(g, out, x, needs, axis, keepdims):
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis=axis)
+    return (np.broadcast_to(g, x.shape).copy(),)
+
+
+def _leaky_relu_forward(x, out=None, *, negative_slope):
+    return np.multiply(x, np.where(x > 0.0, 1.0, negative_slope), out=out)
+
+
+#: The closed set of table primitives, keyed by name (the tracer's kind).
+#: Masks, signs and scales are recomputed from ``x`` with the forward's own
+#: ufuncs rather than saved, so a node has no side buffer replay must rewrite.
+PRIMITIVES = {prim.name: prim for prim in (
+    Primitive("add", np.add, _add_vjp),
+    Primitive("sub", np.subtract, _sub_vjp),
+    Primitive("mul", np.multiply, _mul_vjp),
+    Primitive("div", np.divide, _div_vjp),
+    Primitive("neg", np.negative, lambda g, out, x, needs: (-g,)),
+    Primitive("pow", _pow_forward, lambda g, out, x, needs, exponent: (
+        g * exponent * x ** (exponent - 1),)),
+    Primitive("matmul", np.matmul, _matmul_vjp),
+    Primitive("exp", np.exp, lambda g, out, x, needs: (g * out,)),
+    Primitive("log", np.log, lambda g, out, x, needs: (g / x,)),
+    Primitive("sqrt", np.sqrt, lambda g, out, x, needs: (g / (2.0 * out),)),
+    Primitive("tanh", np.tanh, lambda g, out, x, needs: (
+        g * (1.0 - out ** 2),)),
+    Primitive("sigmoid", _stable_sigmoid, lambda g, out, x, needs: (
+        g * out * (1.0 - out),)),
+    Primitive("relu", _relu_forward, lambda g, out, x, needs: (
+        g * (x > 0.0),)),
+    Primitive("softplus", _softplus_forward, lambda g, out, x, needs: (
+        g * _stable_sigmoid(x),)),
+    Primitive("abs", np.absolute, lambda g, out, x, needs: (g * np.sign(x),)),
+    Primitive("sum", _sum_forward, _sum_vjp),
+    Primitive("leaky_relu", _leaky_relu_forward,
+              lambda g, out, x, needs, negative_slope: (
+                  g * np.where(x > 0.0, 1.0, negative_slope),)),
+)}

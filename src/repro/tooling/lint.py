@@ -27,9 +27,10 @@ them (stdlib ``ast`` only, no third-party dependencies):
     sanctioned sparse-path files — densifying an embedding-table gradient
     turns an O(batch) step into O(table).
 ``gradcheck-coverage``
-    Every primitive registered in ``repro/nn/functional.py`` (a top-level
-    function that calls ``Tensor._make``) must be referenced in
-    ``tests/nn/test_gradcheck.py``.
+    Each of the ``_make`` primitives left in ``repro/nn/functional.py``
+    (a top-level function that calls ``Tensor._make``) must be referenced
+    in ``tests/nn/test_gradcheck.py``; the table primitives are checked by
+    that file's ``set(TABLE_CASES) == set(PRIMITIVES)`` assertion.
 ``eager-inner-loop``
     No hand-rolled eager training step (``model.loss`` → ``backward`` →
     ``optimizer.step``) in the driver layers (``repro/core/``,
@@ -467,7 +468,7 @@ class EagerInnerLoopRule(Rule):
 class GradcheckCoverageRule(Rule):
     name = "gradcheck-coverage"
     description = (
-        "every primitive in repro/nn/functional.py (calls Tensor._make) "
+        "the _make primitives left in repro/nn/functional.py "
         "must be referenced in tests/nn/test_gradcheck.py"
     )
 

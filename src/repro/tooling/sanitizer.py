@@ -239,27 +239,15 @@ def notify_mutation(array):
 _LIVE_NODES = weakref.WeakValueDictionary()
 
 
-def op_name(backward_fn):
-    """Derive a readable op name from a backward closure's qualname.
-
-    ``Tensor.__add__.<locals>.<lambda>`` -> ``Tensor.__add__``;
-    ``embedding.<locals>.backward`` -> ``embedding``.
-    """
-    qualname = getattr(backward_fn, "__qualname__", None)
-    if not qualname:
-        return "<op>"
-    return qualname.split(".<locals>", 1)[0]
-
-
 def _capture_stack(skip=3, depth=10):
     """A compact creation stack for anomaly reports (innermost last)."""
     frames = traceback.extract_stack()[:-skip]
     return "".join(traceback.format_list(frames[-depth:]))
 
 
-def on_node_created(out, parents, backward_fn):
-    """Annotate a freshly created graph node with sanitizer state."""
-    out._op = op_name(backward_fn)
+def on_node_created(out, parents, op):
+    """Annotate a freshly created graph node of kind ``op`` with sanitizer state."""
+    out._op = op
     if _VERSION_CHECKS and out._backward is not None:
         # Saved-buffer versions: self (closures often capture the output,
         # e.g. exp/tanh/fused_dense) followed by each operand.

@@ -24,11 +24,12 @@ from repro.core.param_space import DomainParameterSpace
 from repro.data import DomainSpec, SyntheticConfig, generate_dataset, sample_batch
 from repro.data.batching import Batch
 from repro.models import MODEL_REGISTRY, build_model
-from repro.nn import Module, Parameter, eager_execution
+from repro.nn import Module, Parameter, Tensor, eager_execution
 from repro.nn import functional as F
 from repro.nn import compile as compile_mod
 from repro.nn.compile import executor_for
 from repro.nn.optim import make_optimizer
+from repro.nn.tensor import PRIMITIVES
 from repro.tooling.sanitizer import ReplayMismatchError, replay_verify
 from repro.train import Session, SessionConfig
 from repro.utils import profiling
@@ -106,7 +107,7 @@ class TestReplayParity:
         tape = executor_for(model).tape_for(make_batch(6, 0), optimizer)
         assert tape is not None, "omni step unexpectedly bailed to eager"
         kinds = {rec.kind for rec in tape._node_records}
-        missing = set(compile_mod._FWD_KERNELS) - kinds
+        missing = (set(compile_mod._FWD_KERNELS) | set(PRIMITIVES)) - kinds
         assert not missing, f"primitives never traced: {sorted(missing)}"
 
     def test_replay_bitwise_equals_eager_across_all_primitives(self):
@@ -127,6 +128,61 @@ class TestReplayParity:
         model.structure_flag = True
         with pytest.raises(ReplayMismatchError):
             tape.replay_verified(make_batch(6, 1), optimizer, model)
+
+
+class TableOpModel(Module):
+    """A trainable-embedding loss plus one table-op term, ``term(model, emb)``."""
+
+    multi_domain = False
+
+    def __init__(self, term):
+        super().__init__()
+        rng = spawn_rng(0, "compile", "table")
+        self.table = Parameter(rng.normal(size=(VOCAB, 4)) * 0.1)
+        self.vec = Parameter(rng.normal(size=(4,)) * 0.1)
+        self.col = Parameter(rng.normal(size=(4, 1)) * 0.1)
+        self._dropout_rng = spawn_rng(0, "compile", "table", "dropout")
+        self.term = term
+
+    def loss(self, batch):
+        emb = F.embedding(self.table, batch.users)
+        main = F.bce_with_logits(emb.sum(axis=-1), batch.labels)
+        return main + self.term(self, emb)
+
+
+CONST_ROW = Tensor(spawn_rng(4, "compile", "const").normal(size=(4,)))
+CONST_COL = Tensor(spawn_rng(5, "compile", "const").normal(size=(4, 1)))
+
+TABLE_TERMS = {
+    # 0-d outputs that their own VJP reads
+    "exp-0d": lambda m, emb: (emb * emb).sum().exp(),
+    "sqrt-0d": lambda m, emb: ((emb * emb).sum() + 1.0).sqrt(),
+    "tanh-0d": lambda m, emb: (emb * emb).sum().tanh(),
+    # a trainable (d,) / (d, 1) operand broadcast against (batch, d)
+    "add-broadcast": lambda m, emb: ((emb + m.vec) ** 2).mean(),
+    "sub-broadcast": lambda m, emb: ((m.vec - emb) ** 2).mean(),
+    "mul-broadcast": lambda m, emb: (emb * m.vec).sum(),
+    "div-broadcast": lambda m, emb: (emb / (m.vec + 2.0)).sum(),
+    "matmul-broadcast": lambda m, emb: (emb.reshape(len(emb), 1, 4) @ m.col).sum(),
+    # one constant and one trainable operand: mixed ``needs``
+    "mixed-needs": lambda m, emb: (
+        (emb - CONST_ROW).sum() + (CONST_ROW / (emb + 2.0)).sum()
+        + (emb @ CONST_COL).sum()
+    ),
+    "dropout": lambda m, emb: F.dropout(emb, 0.25, m._dropout_rng).sum(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_TERMS))
+def test_table_op_replays_bitwise(case):
+    """Table ops replay through their shared forward/VJP entries: every op
+    buffer and leaf gradient stays bitwise eager over several steps."""
+    model = TableOpModel(TABLE_TERMS[case])
+    optimizer = make_optimizer("adam", model.parameters(), 0.05)
+    tape = executor_for(model).tape_for(make_batch(6, 0), optimizer)
+    assert tape is not None, f"{case} unexpectedly bailed to eager"
+    for step in range(3):
+        tape.replay_verified(make_batch(6, step + 1), optimizer, model)
 
 
 ALL_MODELS = sorted(MODEL_REGISTRY)

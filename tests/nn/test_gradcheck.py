@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Tensor, functional as F
+from repro.nn.tensor import PRIMITIVES
 
 EPS = 1e-6
 TOL = 1e-6
@@ -198,6 +199,52 @@ def test_fused_dense_grad(activation):
                               activation=activation) ** 2).sum()
 
     check(wrt_bias_no_bias_path, bias)
+
+
+# Its own stream, so the inputs of the checks above stay as they were.
+TABLE_RNG = np.random.default_rng(1)
+
+
+def _away_from_kink(shape):
+    x = TABLE_RNG.normal(size=shape)
+    x[np.abs(x) < 0.1] = 0.5
+    return x
+
+
+MATRIX = Tensor(TABLE_RNG.normal(size=(3, 4)) + 3.0)
+BATCHED = Tensor(TABLE_RNG.normal(size=(2, 3, 4)))
+
+# One finite-difference case per table primitive, keyed by its name.  The
+# binary cases differentiate through a trainable operand broadcast against
+# ``MATRIX`` / ``BATCHED``, on both sides of the op.
+TABLE_CASES = {
+    "add": (lambda t: ((t + MATRIX) * (MATRIX + t)).sum(), TABLE_RNG.normal(size=(4,))),
+    "sub": (lambda t: ((t - MATRIX) * (MATRIX - t)).sum(), TABLE_RNG.normal(size=(4,))),
+    "mul": (lambda t: (t * MATRIX * t).sum(), TABLE_RNG.normal(size=(4,))),
+    "div": (lambda t: (t / MATRIX + MATRIX / t).sum(),
+            np.abs(TABLE_RNG.normal(size=(4,))) + 0.5),
+    "neg": (lambda t: (-t * t).sum(), TABLE_RNG.normal(size=(3, 3))),
+    "pow": (lambda t: (t ** 3 + t ** 0.5).sum(), np.abs(TABLE_RNG.normal(size=(4,))) + 0.5),
+    "matmul": (lambda t: ((BATCHED @ t) @ t.transpose()).sum(), TABLE_RNG.normal(size=(4, 2))),
+    "exp": (lambda t: (t.exp() * t).sum(), TABLE_RNG.normal(size=(3, 3))),
+    "log": (lambda t: (t.log() * t).sum(), np.abs(TABLE_RNG.normal(size=(3, 3))) + 0.5),
+    "sqrt": (lambda t: (t.sqrt() * t).sum(), np.abs(TABLE_RNG.normal(size=(3, 3))) + 0.5),
+    "tanh": (lambda t: (t.tanh() * t).sum(), TABLE_RNG.normal(size=(3, 3))),
+    "sigmoid": (lambda t: (t.sigmoid() * t).sum(), TABLE_RNG.normal(size=(3, 3))),
+    "relu": (lambda t: (t.relu() * t).sum(), _away_from_kink((3, 3))),
+    "softplus": (lambda t: (t.softplus() * t).sum(), TABLE_RNG.normal(size=(3, 3))),
+    "abs": (lambda t: (t.abs() * t).sum(), _away_from_kink((3, 3))),
+    "sum": (lambda t: (t.sum(axis=0) ** 2).sum() + (t.sum(axis=1, keepdims=True) ** 2).sum(),
+            TABLE_RNG.normal(size=(3, 4))),
+    "leaky_relu": (lambda t: (F.leaky_relu(t, 0.1) * t).sum(), _away_from_kink((3, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_table_primitive_gradcheck(name):
+    assert set(TABLE_CASES) == set(PRIMITIVES), "every table entry needs a case"
+    fn, x = TABLE_CASES[name]
+    check(fn, x)
 
 
 @settings(max_examples=30, deadline=None)

@@ -130,7 +130,7 @@ class TestAnomalyMode:
             with pytest.raises(AnomalyError) as excinfo:
                 x.log()
         message = str(excinfo.value)
-        assert "Tensor.log" in message
+        assert "'log'" in message
         assert "forward" in message
         assert "test_sanitizer" in message  # creation stack points here
 
@@ -141,7 +141,7 @@ class TestAnomalyMode:
             with pytest.raises(AnomalyError) as excinfo:
                 loss.backward()
         message = str(excinfo.value)
-        assert "Tensor.sqrt" in message
+        assert "'sqrt'" in message
         assert "backward" in message
         assert "created at" in message
 
@@ -165,8 +165,8 @@ class TestGraphDiagnostics:
             x = Tensor(np.ones(3), requires_grad=True)
             loss = (x * 2.0).sum()
             census = graph_census()
-            assert census.get("Tensor.__mul__") == 1
-            assert census.get("Tensor.sum") == 1
+            assert census.get("mul") == 1
+            assert census.get("sum") == 1
             del loss
             gc.collect()
             assert graph_census() == {}
