@@ -1,7 +1,7 @@
 """Trace hook shared by the autodiff engine and the compiled executor.
 
 ``repro.nn.compile`` installs a tracer here for the duration of exactly one
-eager training step; ``Tensor._make`` reports every graph node, and three
+eager training step; ``tensor._apply`` reports every graph node, and three
 hooks in ``functional.py`` report the data-dependent auxiliary leaves
 (dropout masks, softmax max-shifts, fixed-feature gathers), so the executor
 can compile the step into a replayable tape.

@@ -10,19 +10,18 @@ dominates wall-clock over the actual (small) numpy math.
 This module removes it with a trace-once / replay-many executor:
 
 * **Trace** — the first step for a given input signature runs *eagerly*
-  (so it is always correct), while ``Tensor._make`` reports every graph
-  node through the ``repro.nn._tracing`` hook.  Data-dependent constants
-  (dropout masks, softmax max-shifts, fixed-feature gathers) are reported
-  too, with enough context to regenerate them.
+  (so it is always correct), while ``repro.nn.tensor._apply`` reports
+  every graph node through the ``repro.nn._tracing`` hook.
+  Data-dependent constants (dropout masks, softmax max-shifts,
+  fixed-feature gathers) are reported too, with enough context to
+  regenerate them.
 * **Compile** — the recorded graph is flattened into a :class:`Tape`: a
   preallocated forward schedule that recomputes every node's buffer
   *in place* and a backward schedule that runs the VJPs in exactly the
-  order ``Tensor.backward`` would have used.  A table op
-  (:data:`repro.nn.tensor.PRIMITIVES`) compiles generically: its entry's
-  forward writes the node's buffer and its VJP reads the env slots — the
-  very functions eager runs.  The other ops keep a forward kernel here
-  and replay their recorded VJP closures, which captured the very buffers
-  the forward schedule rewrites.  Either way replay is **bitwise
+  order ``Tensor.backward`` would have used.  Every op is an entry of
+  :data:`repro.nn.tensor.PRIMITIVES` and compiles the same way: the
+  entry's forward writes the node's buffer and its VJP reads the env
+  slots — the very functions eager runs — so replay is **bitwise
   identical** to eager execution (asserted per-primitive by the
   sanitizer's :func:`repro.tooling.sanitizer.replay_verify` mode).
 * **Replay** — subsequent steps with the same signature execute the flat
@@ -40,9 +39,9 @@ plus ``batch.domain`` (for multi-domain models), the train/eval flag and
 the sparse-grad toggle; narrow columnar dtypes (uint32 ids, float32
 labels) are widened exactly first, so they share a tape with int64/float64
 batches.  A new signature triggers a fresh trace (which *is* a correct
-eager step); an untraceable step (unknown primitive, exotic buffer
-aliasing, non-owned input arrays) falls back to eager permanently for that
-signature.  The sanitizer's ``sanitize()`` / ``anomaly_mode()`` disable
+eager step); an untraceable step (a node made outside the step, an
+embedding gather whose ids are no batch field, non-owned input arrays)
+falls back to eager permanently for that signature.  The sanitizer's ``sanitize()`` / ``anomaly_mode()`` disable
 compiled execution entirely — those tools need real graphs.
 
 Lifetimes are refcount-only: the model owns its executor, the executor
@@ -59,6 +58,8 @@ from __future__ import annotations
 import contextlib
 import copy as _copylib
 import dataclasses
+import functools
+import operator
 import weakref
 from contextvars import ContextVar
 
@@ -69,7 +70,7 @@ from ..utils import profiling
 from . import _tracing
 from .module import Parameter
 from .sparse import SparseGrad, accumulate_grad, sparse_grads_enabled
-from .tensor import PRIMITIVES, _stable_sigmoid
+from .tensor import PRIMITIVES
 
 __all__ = [
     "CompileBail",
@@ -341,10 +342,7 @@ class _TapeBuilder:
                 # ``weight_domain[domain]``): own it and recompute per step.
                 # lint: allow[data-mutation] — tracer-owned buffer.
                 out.data = np.array(out.data)
-        builder = _fwd_table if rec.kind in PRIMITIVES else _FWD_KERNELS.get(rec.kind)
-        if builder is None:
-            raise CompileBail(f"no forward kernel for op {rec.kind!r}")
-        kernel = builder(self, rec)
+        kernel = _fwd_table(self, rec)
         self.slot_for(out)
         self.emit(rec.kind, kernel)
 
@@ -380,16 +378,7 @@ class _TapeBuilder:
                 else:
                     targets.append((pci, False))
             rec = self.recmap[id(node)]
-            targets = tuple(targets)
-            step = None
-            fast = _BWD_KERNELS.get(rec.kind)
-            if fast is not None:
-                step = fast(self, rec, ci, targets)
-            if step is None:
-                bw = (_table_vjp(self, rec, targets) if rec.kind in PRIMITIVES
-                      else node._backward)
-                step = _backward_step(bw, ci, targets)
-            steps.append(step)
+            steps.append(_backward_step(self, rec, ci, targets))
             step_kinds.append(rec.kind)
         return steps, step_kinds, leaf_cells, ncells
 
@@ -423,32 +412,47 @@ class _TapeBuilder:
         )
 
 
-def _table_vjp(b, rec, targets):
-    """A table op's VJP over its env slots and output buffer.
+# ----------------------------------------------------------------------
+# Kernels.
+#
+# Every node runs its table entry (repro.nn.tensor.PRIMITIVES): a forward
+# kernel reruns the entry's forward into the node's trace-time buffer *in
+# place*, and a backward step runs the entry's VJP over the env slots.
+# Both are the very functions eager execution ran, so replay is bitwise
+# eager by construction, and nothing captures a buffer the forward
+# schedule rewrites.
+# ----------------------------------------------------------------------
+
+def _bind(b, rec, fn, **static):
+    """``(fn, gather)`` for one node: ``fn`` with the node's aux and
+    ``static`` bound once, and ``gather(env)``, the tuple of its parents'
+    env arrays (one ``itemgetter`` call)."""
+    fn = functools.partial(fn, **rec.aux, **static)
+    slots = [b.slot_for(p) for p in rec.parents]
+    if len(slots) > 1:
+        return fn, operator.itemgetter(*slots)
+    (slot,) = slots
+
+    def gather(env):
+        return (env[slot],)
+
+    return fn, gather
+
+
+def _backward_step(b, rec, in_cell, targets):
+    """One compiled backward step: the entry's VJP + static scatter.
 
     ``needs`` is static: a target is ``None`` exactly when eager's
-    ``requires_grad`` check would skip that parent.
-    """
-    vjp, aux = PRIMITIVES[rec.kind].vjp, rec.aux
-    slots = [b.slot_for(p) for p in rec.parents]
-    env, buf = b.env, rec.out.data
-    needs = tuple(t is not None for t in targets)
-
-    def run(g):
-        return vjp(g, buf, *[env[i] for i in slots], needs=needs, **aux)
-
-    return run
-
-
-def _backward_step(bw, in_cell, targets):
-    """One compiled backward step: a VJP (a table entry's, or a non-table
-    op's recorded closure) + static scatter.
-
-    The dynamic ``None``/sparse guards mirror ``Tensor.backward`` exactly:
-    interior sparse grads densify before the VJP, ``None`` parent grads are
+    ``requires_grad`` check would skip that parent.  The dynamic
+    ``None``/sparse guards mirror ``Tensor.backward`` exactly: interior
+    sparse grads densify before the VJP, ``None`` parent grads are
     skipped, and the first *non-None* contribution to a cell assigns while
     later ones accumulate — in the same order the eager traversal would.
     """
+    vjp, gather = _bind(b, rec, PRIMITIVES[rec.kind].vjp,
+                        needs=tuple(t is not None for t in targets))
+    env, buf = b.env, rec.out.data
+    writes = [(i,) + t for i, t in enumerate(targets) if t is not None]
 
     def run(cells):
         grad_in = cells[in_cell]
@@ -457,11 +461,11 @@ def _backward_step(bw, in_cell, targets):
         if isinstance(grad_in, SparseGrad):
             # lint: allow[dense-grad-materialization] — dense-only replay.
             grad_in = grad_in.to_dense()
-        parent_grads = bw(grad_in)
-        for target, grad in zip(targets, parent_grads):
-            if target is None or grad is None:
+        parent_grads = vjp(grad_in, buf, *gather(env))
+        for i, ci, first in writes:
+            grad = parent_grads[i]
+            if grad is None:
                 continue
-            ci, first = target
             if first or cells[ci] is None:
                 cells[ci] = grad
             else:
@@ -470,369 +474,26 @@ def _backward_step(bw, in_cell, targets):
     return run
 
 
-# ----------------------------------------------------------------------
-# Fast backward kernels.
-#
-# The generic path above calls a VJP — always correct, but it allocates
-# fresh gradient arrays.  For the hot non-table ops, these builders emit
-# specialized steps over preallocated buffers that produce the SAME ufunc
-# sequence per needed gradient (bitwise parity is asserted by the
-# replay-verification tests, per primitive).  A builder
-# returns ``None`` for any configuration it cannot match exactly — shapes
-# that would engage ``unbroadcast``, accumulation into an existing cell —
-# and the step falls back to the recorded closure.
-# ----------------------------------------------------------------------
-
-def _first_writes_only(targets):
-    return all(t is None or t[1] for t in targets)
-
-
-def _bwd_fused_dense(b, rec, in_cell, targets):
-    parents = rec.parents
-    x, w = parents[0], parents[1]
-    bias = parents[2] if len(parents) == 3 else None
-    out = rec.out
-    activation = rec.aux["activation"]
-    if x.data.ndim != 2 or w.data.ndim != 2 or out.data.ndim != 2:
-        return None
-    if bias is not None and bias.data.ndim != 1:
-        return None
-    if not _first_writes_only(targets):
-        return None
-    xt, wt = targets[0], targets[1]
-    bt = targets[2] if bias is not None else None
-    xi, wi = b.slot_for(x), b.slot_for(w)
-    env, outbuf = b.env, out.data
-    gz = None if activation == "linear" else np.empty_like(outbuf)
-    tmp = None if activation == "linear" else np.empty_like(outbuf)
-    gx = np.empty_like(x.data) if xt is not None else None
-    gw = np.empty_like(w.data) if wt is not None else None
-    gb = np.empty_like(bias.data) if bt is not None else None
-
-    def run(cells):
-        g = cells[in_cell]
-        if g is None:
-            return
-        if isinstance(g, SparseGrad):
-            # lint: allow[dense-grad-materialization] — dense-only replay.
-            g = g.to_dense()
-        if activation == "relu":
-            np.greater(outbuf, 0.0, out=tmp)
-            np.multiply(g, tmp, out=gz)
-            gzz = gz
-        elif activation == "sigmoid":
-            np.multiply(g, outbuf, out=gz)
-            np.subtract(1.0, outbuf, out=tmp)
-            np.multiply(gz, tmp, out=gz)
-            gzz = gz
-        elif activation == "tanh":
-            np.square(outbuf, out=tmp)
-            np.subtract(1.0, tmp, out=tmp)
-            np.multiply(g, tmp, out=gz)
-            gzz = gz
-        else:
-            gzz = g
-        if xt is not None:
-            np.matmul(gzz, env[wi].swapaxes(-1, -2), out=gx)
-            cells[xt[0]] = gx
-        if wt is not None:
-            np.matmul(env[xi].swapaxes(-1, -2), gzz, out=gw)
-            cells[wt[0]] = gw
-        if bt is not None:
-            # np.sum dispatches through this very reduction — same pairwise
-            # summation, minus the python wrapper.
-            np.add.reduce(gzz, axis=0, out=gb)
-            cells[bt[0]] = gb
-
-    return run
-
-
-def _bwd_bce(b, rec, in_cell, targets):
-    if len(rec.parents) == 3:
-        return None  # sample-weighted: keep the closure
-    logits_t = targets[0]
-    if logits_t is None or not logits_t[1] or targets[1] is not None:
-        return None
-    x, y, weighted = rec.aux["x"], rec.aux["y"], rec.aux["weighted"]
-    if weighted.shape != x.shape or y.shape != x.shape:
-        return None  # broadcasting would engage unbroadcast
-    count = weighted.size
-    cell = logits_t[0]
-    gx = np.empty_like(x)
-    t = np.empty_like(x)
-    u = np.empty_like(x)
-    mask = np.empty(x.shape, dtype=bool)
-
-    def run(cells):
-        g = cells[in_cell]
-        if g is None:
-            return
-        scale = g / count
-        # _stable_sigmoid(x), branchless: both of its per-element formulas
-        # reduce to the same IEEE expressions of e = exp(-|x|), so selecting
-        # with ``where`` reproduces the masked-assignment result bitwise.
-        np.absolute(x, out=t)
-        np.negative(t, out=t)
-        np.exp(t, out=t)                    # e = exp(-|x|)
-        np.add(t, 1.0, out=u)               # 1 + e
-        np.divide(t, u, out=t)              # e / (1 + e)      (x < 0 branch)
-        np.divide(1.0, u, out=u)            # 1 / (1 + e)      (x >= 0 branch)
-        np.greater_equal(x, 0.0, out=mask)
-        np.copyto(gx, t)
-        np.copyto(gx, u, where=mask)
-        np.subtract(gx, y, out=gx)
-        np.multiply(gx, scale, out=gx)
-        cells[cell] = gx
-
-    return run
-
-
-def _bwd_concat(b, rec, in_cell, targets):
-    if not _first_writes_only(targets):
-        return None
-    axis = rec.aux["axis"]
-    ndim = rec.out.data.ndim
-    if axis < 0:
-        axis += ndim
-    # Eager's np.split returns views of g at these very offsets; handing
-    # the same views to the cells is bit-identical without the split
-    # machinery (and without touching the segments nobody needs).
-    slices, lo = [], 0
-    for parent, target in zip(rec.parents, targets):
-        hi = lo + parent.data.shape[axis]
-        if target is not None:
-            key = (slice(None),) * axis + (slice(lo, hi),)
-            slices.append((target[0], key))
-        lo = hi
-
-    def run(cells):
-        g = cells[in_cell]
-        if g is None:
-            return
-        if isinstance(g, SparseGrad):
-            # lint: allow[dense-grad-materialization] — dense-only replay.
-            g = g.to_dense()
-        for cell, key in slices:
-            cells[cell] = g[key]
-
-    return run
-
-
-def _bwd_embedding(b, rec, in_cell, targets):
-    target = targets[0]
-    if target is None or not target[1]:
-        return None
-    if not sparse_grads_enabled():
-        return None  # dense-parity mode: keep the (profiled) closure
-    indices = rec.aux["indices"]
-    shape = rec.parents[0].data.shape
-    cell = target[0]
-
-    def run(cells):
-        g = cells[in_cell]
-        if g is None:
-            return
-        cells[cell] = SparseGrad.from_lookup(indices, g, shape)
-
-    return run
-
-
-_BWD_KERNELS = {
-    "fused_dense": _bwd_fused_dense,
-    "bce": _bwd_bce,
-    "concat": _bwd_concat,
-    "embedding": _bwd_embedding,
-}
-
-
-# ----------------------------------------------------------------------
-# Forward kernels.
-#
-# Every kernel recomputes the eager forward expression for its op and
-# writes the result into the trace-time output buffer *in place*.  A table
-# op runs its entry's own forward with ``out=``; the non-table builders
-# below either use the identical ``out=`` ufunc or compute the expression
-# exactly as the eager op does and copy — a bit-preserving copy.  In-place
-# is what makes the recorded backward closures of non-table ops — which
-# captured these very buffers — see fresh values on replay.
-# ----------------------------------------------------------------------
-
 def _fwd_table(b, rec):
-    forward, aux = PRIMITIVES[rec.kind].forward, rec.aux
-    slots = [b.slot_for(p) for p in rec.parents]
-    env, buf = b.env, rec.out.data
+    """The entry's forward, writing the node's buffer *in place*.
+
+    An aux array that is a batch field (an embedding's ids, a gather
+    index) is staged, so each replay reads the current batch; an
+    embedding whose ids are no batch field bails.
+    """
+    for value in rec.aux.values():
+        if isinstance(value, np.ndarray) and (
+            rec.kind == "embedding" or id(value) in b.input_ids
+        ):
+            b.stage(value)
+    forward, gather = _bind(b, rec, PRIMITIVES[rec.kind].forward,
+                            out=rec.out.data)
+    env = b.env
 
     def run():
-        forward(*[env[i] for i in slots], out=buf, **aux)
+        forward(*gather(env))
 
     return run
-
-
-def _fwd_reshape(b, rec):
-    a = b.slot_for(rec.parents[0])
-    env, buf, shape = b.env, rec.out.data, rec.aux["shape"]
-
-    def run():
-        np.copyto(buf, env[a].reshape(shape))
-
-    return run
-
-
-def _fwd_transpose(b, rec):
-    a = b.slot_for(rec.parents[0])
-    env, buf, axes = b.env, rec.out.data, rec.aux["axes"]
-
-    def run():
-        np.copyto(buf, env[a].transpose(axes))
-
-    return run
-
-
-def _fwd_swapaxes(b, rec):
-    a = b.slot_for(rec.parents[0])
-    env, buf = b.env, rec.out.data
-    axis_a, axis_b = rec.aux["axes"]
-
-    def run():
-        np.copyto(buf, np.swapaxes(env[a], axis_a, axis_b))
-
-    return run
-
-
-def _fwd_getitem(b, rec):
-    a = b.slot_for(rec.parents[0])
-    env, buf, index = b.env, rec.out.data, rec.aux["index"]
-    if isinstance(index, np.ndarray) and id(index) in b.input_ids:
-        b.stage(index)
-
-    def run():
-        np.copyto(buf, env[a][index])
-
-    return run
-
-
-def _fwd_concat(b, rec):
-    idxs = [b.slot_for(p) for p in rec.parents]
-    env, buf, axis = b.env, rec.out.data, rec.aux["axis"]
-
-    def run():
-        np.concatenate([env[i] for i in idxs], axis=axis, out=buf)
-
-    return run
-
-
-def _fwd_stack(b, rec):
-    idxs = [b.slot_for(p) for p in rec.parents]
-    env, buf, axis = b.env, rec.out.data, rec.aux["axis"]
-
-    def run():
-        np.stack([env[i] for i in idxs], axis=axis, out=buf)
-
-    return run
-
-
-def _fwd_embedding(b, rec):
-    w = b.slot_for(rec.parents[0])
-    env, buf, indices = b.env, rec.out.data, rec.aux["indices"]
-    b.stage(indices)
-    table_rows = np.uint64(rec.parents[0].data.shape[0])
-
-    def run():
-        # Same single-scan validation as Embedding.forward: replay skips
-        # the module layer, so the guard must live in the kernel.
-        if indices.size and (indices.view(np.uint64) >= table_rows).any():
-            raise IndexError(f"embedding index out of range [0, {table_rows})")
-        np.copyto(buf, env[w][indices])
-
-    return run
-
-
-def _fwd_fused_dense(b, rec):
-    has_bias = len(rec.parents) == 3
-    slots = [b.slot_for(p) for p in rec.parents]
-    env, buf, activation = b.env, rec.out.data, rec.aux["activation"]
-    if rec.aux["saved_out"] is not buf:  # pragma: no cover - engine invariant
-        raise CompileBail("fused_dense output buffer was rebound")
-    # The eager op computes z (pre-activation) as a fresh array; for the
-    # "linear" activation z *is* the output, so the preallocated z buffer
-    # must be the output buffer itself.
-    zbuf = buf if activation == "linear" else np.empty_like(buf)
-
-    def run():
-        np.matmul(env[slots[0]], env[slots[1]], out=zbuf)
-        if has_bias:
-            np.add(zbuf, env[slots[2]], out=zbuf)
-        if activation == "relu":
-            np.maximum(zbuf, 0.0, out=buf)
-        elif activation == "sigmoid":
-            np.copyto(buf, _stable_sigmoid(zbuf))
-        elif activation == "tanh":
-            np.tanh(zbuf, out=buf)
-
-    return run
-
-
-def _fwd_bce(b, rec):
-    has_sw = len(rec.parents) == 3
-    slots = [b.slot_for(p) for p in rec.parents]
-    env, buf = b.env, rec.out.data
-    per_sample, weighted = rec.aux["per_sample"], rec.aux["weighted"]
-    # The backward closure captured the logits/labels arrays directly; if
-    # either was rebound during compilation the closure would read stale
-    # memory, so refuse (never happens for graph-interior logits).
-    if rec.aux["x"] is not rec.parents[0].data or rec.aux["y"] is not rec.parents[1].data:
-        raise CompileBail("bce saved buffers were rebound")
-
-    same_shape = (
-        rec.parents[0].data.shape == per_sample.shape
-        and rec.parents[1].data.shape == per_sample.shape
-    )
-    if same_shape:
-        t1 = np.empty_like(per_sample)
-        t2 = np.empty_like(per_sample)
-
-        def run():
-            x, y = env[slots[0]], env[slots[1]]
-            # max(x,0) + log1p(exp(-|x|)) - x*y, ufunc-for-ufunc as eager.
-            np.absolute(x, out=t1)
-            np.negative(t1, out=t1)
-            np.exp(t1, out=t1)
-            np.log1p(t1, out=t1)
-            np.maximum(x, 0.0, out=t2)
-            np.add(t2, t1, out=t2)
-            np.multiply(x, y, out=t1)
-            np.subtract(t2, t1, out=per_sample)
-            if has_sw:
-                np.multiply(per_sample, env[slots[2]], out=weighted)
-            # mean() is umr_sum/size — the same pairwise add.reduce.
-            buf[...] = np.add.reduce(weighted, axis=None) / weighted.size
-
-    else:  # broadcasting logits/labels: fall back to the plain expression
-
-        def run():
-            x, y = env[slots[0]], env[slots[1]]
-            np.copyto(
-                per_sample,
-                np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))) - x * y,
-            )
-            if has_sw:
-                np.multiply(per_sample, env[slots[2]], out=weighted)
-            buf[...] = weighted.mean()
-
-    return run
-
-
-_FWD_KERNELS = {
-    "reshape": _fwd_reshape,
-    "transpose": _fwd_transpose,
-    "swapaxes": _fwd_swapaxes,
-    "getitem": _fwd_getitem,
-    "concat": _fwd_concat,
-    "stack": _fwd_stack,
-    "embedding": _fwd_embedding,
-    "fused_dense": _fwd_fused_dense,
-    "bce": _fwd_bce,
-}
 
 
 # ----------------------------------------------------------------------

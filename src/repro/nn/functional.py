@@ -1,10 +1,10 @@
 """Functional building blocks composed from :class:`~repro.nn.tensor.Tensor`.
 
 Everything here is differentiable (where meaningful) and built from the
-table primitives of :data:`repro.nn.tensor.PRIMITIVES` (``leaky_relu`` is
-one) or as ``Tensor._make`` primitives with hand-written backward passes
-(``concat``, ``stack``, ``embedding`` and the fused kernels below), all
-covered by gradcheck tests.
+primitives of :data:`repro.nn.tensor.PRIMITIVES`: each op below is either
+one ``_apply`` call on its table entry (``leaky_relu``, ``concat``,
+``stack``, ``embedding``, ``fused_dense``, ``bce_with_logits``) or a
+composition of entries; every entry has a finite-difference gradcheck.
 
 Hot-path ops come in fused single-node form: ``embedding`` emits a
 :class:`~repro.nn.sparse.SparseGrad` instead of a dense full-table scatter,
@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..utils import profiling
-from . import _tracing, sparse
-from .tensor import Tensor, _apply, _stable_sigmoid, as_tensor, unbroadcast
+from . import _tracing
+from .tensor import Tensor, _apply, as_tensor
 
 __all__ = [
     "relu",
@@ -97,56 +96,28 @@ def dropout(x, rate, rng, training=True):
 
 def concat(tensors, axis=-1):
     """Concatenate tensors along ``axis`` (differentiable)."""
-    tensors = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    boundaries = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, boundaries, axis=axis))
-
-    return Tensor._make(data, tuple(tensors), backward, "concat", axis=axis)
+    return _apply("concat", *[as_tensor(t) for t in tensors], axis=axis)
 
 
 def stack(tensors, axis=0):
     """Stack tensors along a new ``axis`` (differentiable)."""
-    tensors = [as_tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        return tuple(np.moveaxis(g, axis, 0))
-
-    return Tensor._make(data, tuple(tensors), backward, "stack", axis=axis)
+    return _apply("stack", *[as_tensor(t) for t in tensors], axis=axis)
 
 
 def embedding(weight, indices):
     """Gather rows ``indices`` from ``weight`` ([n, d] -> [len(indices), d]).
 
-    The backward pass produces a :class:`~repro.nn.sparse.SparseGrad`
+    An id outside ``[0, n)`` — negative ones included — raises
+    ``IndexError``, in eager execution and in compiled replay alike.  The
+    backward pass produces a :class:`~repro.nn.sparse.SparseGrad`
     holding only the touched rows — the sparse-embedding update the paper's
     PS-Worker cache (Section IV-E) is built around — so both gradient
     accumulation and the optimizer step cost O(batch), not O(table).  The
     dense ``np.add.at`` fallback is selected by
     :func:`~repro.nn.sparse.use_sparse_grads` for parity checks.
     """
-    weight = as_tensor(weight)
     indices = np.asarray(indices, dtype=np.int64)
-
-    def backward(g):
-        start = profiling.tick()
-        if sparse.sparse_grads_enabled():
-            grad = sparse.SparseGrad.from_lookup(indices, g, weight.data.shape)
-            profiling.tock("embedding.backward.sparse", start, grad.nbytes)
-        else:
-            grad = np.zeros_like(weight.data)
-            np.add.at(grad, indices, g)
-            profiling.tock("embedding.backward.dense", start, grad.nbytes)
-        return (grad,)
-
-    start = profiling.tick()
-    out = weight.data[indices]
-    profiling.tock("embedding.forward", start, out.nbytes)
-    return Tensor._make(out, (weight,), backward, "embedding", indices=indices)
+    return _apply("embedding", as_tensor(weight), indices=indices)
 
 
 def fixed_gather(matrix, indices):
@@ -193,49 +164,8 @@ def fused_dense(x, weight, bias=None, activation="linear"):
     weight = as_tensor(weight)
     if x.ndim < 2 or weight.ndim < 2:
         raise ValueError("fused_dense requires ndim >= 2 operands")
-    bias_t = as_tensor(bias) if bias is not None else None
-
-    start = profiling.tick()
-    z = np.matmul(x.data, weight.data)
-    if bias_t is not None:
-        np.add(z, bias_t.data, out=z)
-    if activation == "relu":
-        out = np.maximum(z, 0.0)
-    elif activation == "sigmoid":
-        out = _stable_sigmoid(z)
-    elif activation == "tanh":
-        out = np.tanh(z)
-    else:
-        out = z
-    profiling.tock("dense.fused_forward", start, out.nbytes)
-
-    parents = (x, weight) if bias_t is None else (x, weight, bias_t)
-
-    def backward(g):
-        start = profiling.tick()
-        if activation == "relu":
-            gz = g * (out > 0.0)
-        elif activation == "sigmoid":
-            gz = g * out * (1.0 - out)
-        elif activation == "tanh":
-            gz = g * (1.0 - out ** 2)
-        else:
-            gz = g
-        # An input that needs no gradient (a fixed-feature projection)
-        # skips its matmul.
-        grad_x = unbroadcast(
-            np.matmul(gz, np.swapaxes(weight.data, -1, -2)), x.shape
-        ) if x.requires_grad else None
-        grad_w = unbroadcast(
-            np.matmul(np.swapaxes(x.data, -1, -2), gz), weight.shape
-        )
-        profiling.tock("dense.fused_backward", start)
-        if bias_t is None:
-            return grad_x, grad_w
-        return grad_x, grad_w, unbroadcast(gz, bias_t.shape)
-
-    return Tensor._make(out, parents, backward, "fused_dense",
-                        activation=activation, saved_out=out)
+    bias = () if bias is None else (as_tensor(bias),)
+    return _apply("fused_dense", x, weight, *bias, activation=activation)
 
 
 def bce_with_logits(logits, labels, sample_weight=None):
@@ -249,57 +179,8 @@ def bce_with_logits(logits, labels, sample_weight=None):
     — no intermediate softplus/mul/sub/mean graph is recorded.  It matches
     :func:`bce_with_logits_reference` to float64 rounding.
     """
-    logits = as_tensor(logits)
-    labels = as_tensor(labels)
-    x = logits.data
-    y = labels.data
-
-    start = profiling.tick()
-    # softplus(x) - x*y, with softplus in the overflow-safe form.
-    per_sample = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))) - x * y
-    if sample_weight is not None:
-        sw = as_tensor(sample_weight)
-        weighted = per_sample * sw.data
-        parents = (logits, labels, sw)
-    else:
-        sw = None
-        weighted = per_sample
-        parents = (logits, labels)
-    count = weighted.size
-    out = weighted.mean()
-    profiling.tock("loss.bce_fused_forward", start)
-
-    def backward(g):
-        start = profiling.tick()
-        scale = g / count
-        base = _stable_sigmoid(x) - y
-        # Labels are data: their gradient is computed only when asked for.
-        if sw is None:
-            grad_logits = unbroadcast(
-                np.broadcast_to(scale * base, weighted.shape), logits.shape
-            )
-            grad_labels = unbroadcast(
-                np.broadcast_to(scale * (-x), weighted.shape), labels.shape
-            ) if labels.requires_grad else None
-            grads = (grad_logits, grad_labels)
-        else:
-            grad_logits = unbroadcast(
-                np.broadcast_to(scale * base * sw.data, weighted.shape),
-                logits.shape,
-            )
-            grad_labels = unbroadcast(
-                np.broadcast_to(scale * (-x) * sw.data, weighted.shape),
-                labels.shape,
-            ) if labels.requires_grad else None
-            grad_weight = unbroadcast(
-                np.broadcast_to(scale * per_sample, weighted.shape), sw.shape
-            )
-            grads = (grad_logits, grad_labels, grad_weight)
-        profiling.tock("loss.bce_fused_backward", start)
-        return grads
-
-    return Tensor._make(np.asarray(out), parents, backward, "bce",
-                        per_sample=per_sample, weighted=weighted, x=x, y=y)
+    weight = () if sample_weight is None else (as_tensor(sample_weight),)
+    return _apply("bce", as_tensor(logits), as_tensor(labels), *weight)
 
 
 def bce_with_logits_reference(logits, labels, sample_weight=None):

@@ -7,24 +7,30 @@ small define-by-run autograd engine.  A :class:`Tensor` wraps a float64
 :meth:`Tensor.backward` on a scalar result propagates gradients to every
 tensor created with ``requires_grad=True``.
 
-All primitive operations support numpy broadcasting; gradients flowing into
-a broadcast operand are reduced back to the operand's shape (see
-:func:`unbroadcast`).  Every primitive's backward pass is verified against
-central finite differences in ``tests/nn/test_gradcheck.py``.
+Every graph op — elementwise, shape, gather and the fused layer and loss
+kernels alike — is an entry of :data:`PRIMITIVES`: one forward and one
+VJP, run by eager execution here and by compiled replay
+(:mod:`repro.nn.compile`), and :func:`_apply` is the one site that records
+a node.  The ops support numpy broadcasting; gradients flowing into a
+broadcast operand are reduced back to the operand's shape (see
+:func:`unbroadcast`).  Every entry's VJP is verified against central
+finite differences in ``tests/nn/test_gradcheck.py``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 from collections.abc import Callable
 from contextvars import ContextVar
 
 import numpy as np
 
 from ..tooling import sanitizer as _sanitizer
+from ..utils import profiling
 from . import _tracing
-from .sparse import SparseGrad, accumulate_grad
+from .sparse import SparseGrad, accumulate_grad, sparse_grads_enabled
 
 __all__ = [
     "Tensor",
@@ -181,29 +187,8 @@ class Tensor:
         self._version += 1
 
     # ------------------------------------------------------------------
-    # Graph construction
+    # Graph construction (nodes are made by ``_apply`` below)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _make(data, parents, backward_fn, op, **aux):
-        """Create a result tensor: the one site that records a graph node.
-
-        ``op`` is the node's kind — the sanitizer's name for it and the
-        tracer's record kind; ``aux`` is what a compiled replay needs to
-        recompute it.
-        """
-        track = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=track)
-        if track:
-            out._parents = tuple(parents)
-            out._backward = backward_fn
-        if _sanitizer._ACTIVE:
-            # Sanitizer/anomaly bookkeeping: saved operand versions, op
-            # name, creation stack, forward NaN/Inf check.
-            _sanitizer.on_node_created(out, parents, op)
-        if _tracing.TRACER is not None:
-            _tracing.TRACER.node(out, op, tuple(parents), **aux)
-        return out
-
     def backward(self, grad=None):
         """Backpropagate from this tensor.
 
@@ -353,44 +338,20 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        original = self.shape
-        return Tensor._make(
-            self.data.reshape(shape),
-            (self,),
-            lambda g: (g.reshape(original),),
-            "reshape", shape=shape,
-        )
+        return _apply("reshape", self, shape=shape)
 
     def transpose(self, *axes):
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inverse = np.argsort(axes)
-        return Tensor._make(
-            self.data.transpose(axes),
-            (self,),
-            lambda g: (g.transpose(inverse),),
-            "transpose", axes=axes,
-        )
+        return _apply("transpose", self, axes=axes)
 
     def swapaxes(self, axis_a, axis_b):
-        return Tensor._make(
-            np.swapaxes(self.data, axis_a, axis_b),
-            (self,),
-            lambda g: (np.swapaxes(g, axis_a, axis_b),),
-            "swapaxes", axes=(axis_a, axis_b),
-        )
+        return _apply("swapaxes", self, axes=(axis_a, axis_b))
 
     def __getitem__(self, index):
-        data = self.data[index]
-
-        def backward(g):
-            grad = np.zeros_like(self.data)
-            np.add.at(grad, index, g)
-            return (grad,)
-
-        return Tensor._make(data, (self,), backward, "getitem", index=index)
+        return _apply("getitem", self, index=index)
 
     # ------------------------------------------------------------------
     # Comparisons (return plain numpy, never differentiable)
@@ -403,13 +364,19 @@ class Tensor:
 
 
 def _stable_sigmoid(x, out=None):
-    """Sigmoid computed without overflow for large |x|."""
-    if out is None:
-        out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
+    """Sigmoid computed without overflow for large |x|, branch-free.
+
+    With ``e = exp(-|x|)`` the two overflow-safe forms are ``1 / (1 + e)``
+    for ``x >= 0`` and ``e / (1 + e)`` below; both are computed and the
+    first overwrites the second where ``x >= 0``.  ``out`` may be ``x``.
+    """
+    positive = x >= 0  # before ``out`` is written: it may alias ``x``
+    e = np.absolute(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denominator = np.add(e, 1.0)
+    out = np.divide(e, denominator, out=e if out is None else out)
+    np.divide(1.0, denominator, out=out, where=positive)
     return out
 
 
@@ -420,9 +387,10 @@ class Primitive:
     ``forward(*inputs, out=None, **aux)`` returns the result, written into
     ``out`` when a buffer is given (a plain ufunc is its own forward).
     ``vjp(g, out, *inputs, needs, **aux)`` returns one gradient per input,
-    ``None`` where ``needs`` is false.  Eager execution calls both on fresh
-    arrays, :mod:`repro.nn.compile` on its preallocated buffers — the same
-    function, so the same bits.
+    ``None`` where ``needs`` is false.  ``aux`` holds the op's static
+    arguments (an axis, an activation, gather indices).  Eager execution
+    calls both on fresh arrays, :mod:`repro.nn.compile` on its
+    preallocated buffers — the same function, so the same bits.
     """
 
     name: str
@@ -431,18 +399,33 @@ class Primitive:
 
 
 def _apply(name, *inputs, **aux):
-    """Run table primitive ``name`` eagerly and record its node."""
+    """Run primitive ``name`` eagerly: the one site that records a graph node.
+
+    ``name`` is the node's kind — the sanitizer's name for it and the
+    tracer's record kind; ``aux`` is what a compiled replay passes the
+    entry again.
+    """
     prim = PRIMITIVES[name]
     arrays = [t.data for t in inputs]
     # asarray: a 0-d result comes back as a numpy scalar, and the node's
     # buffer must be the very array its VJP reads.
     data = np.asarray(prim.forward(*arrays, **aux))
+    track = _GRAD_ENABLED.get() and any(t.requires_grad for t in inputs)
+    out = Tensor(data, requires_grad=track)
+    if track:
+        def backward(g):
+            needs = tuple(t.requires_grad for t in inputs)
+            return prim.vjp(g, data, *arrays, needs=needs, **aux)
 
-    def backward(g):
-        needs = tuple(t.requires_grad for t in inputs)
-        return prim.vjp(g, data, *arrays, needs=needs, **aux)
-
-    return Tensor._make(data, inputs, backward, name, **aux)
+        out._parents = inputs
+        out._backward = backward
+    if _sanitizer._ACTIVE:
+        # Sanitizer/anomaly bookkeeping: saved operand versions, op
+        # name, creation stack, forward NaN/Inf check.
+        _sanitizer.on_node_created(out, inputs, name)
+    if _tracing.TRACER is not None:
+        _tracing.TRACER.node(out, name, inputs, **aux)
+    return out
 
 
 def _into(out, result):
@@ -510,7 +493,170 @@ def _leaky_relu_forward(x, out=None, *, negative_slope):
     return np.multiply(x, np.where(x > 0.0, 1.0, negative_slope), out=out)
 
 
-#: The closed set of table primitives, keyed by name (the tracer's kind).
+def _reshape_forward(x, out=None, *, shape):
+    return _into(out, x.reshape(shape))
+
+
+def _transpose_forward(x, out=None, *, axes):
+    return _into(out, x.transpose(axes))
+
+
+def _swapaxes_forward(x, out=None, *, axes):
+    return _into(out, np.swapaxes(x, *axes))
+
+
+def _getitem_forward(x, out=None, *, index):
+    return _into(out, x[index])
+
+
+def _getitem_vjp(g, out, x, needs, index):
+    grad = np.zeros_like(x)
+    np.add.at(grad, index, g)
+    return (grad,)
+
+
+def _concat_forward(*xs, out=None, axis):
+    return np.concatenate(xs, axis=axis, out=out)
+
+
+def _concat_vjp(g, out, *xs, needs, axis):
+    # Views of ``g`` at each input's offsets (what np.split returns),
+    # skipping the segments nobody needs.
+    axis %= g.ndim
+    lead = (slice(None),) * axis
+    grads, lo = [], 0
+    for x, need in zip(xs, needs):
+        hi = lo + x.shape[axis]
+        grads.append(g[lead + (slice(lo, hi),)] if need else None)
+        lo = hi
+    return grads
+
+
+def _stack_forward(*xs, out=None, axis):
+    return np.stack(xs, axis=axis, out=out)
+
+
+def _stack_vjp(g, out, *xs, needs, axis):
+    return [part if need else None
+            for part, need in zip(np.moveaxis(g, axis, 0), needs)]
+
+
+def _embedding_forward(weight, out=None, *, indices):
+    start = profiling.tick()
+    rows = weight.shape[0]
+    # Single scan: reinterpreted as uint64, negative ids land above any
+    # table size, so one comparison catches both out-of-range directions.
+    if indices.size and (indices.view(np.uint64) >= np.uint64(rows)).any():
+        raise IndexError(f"embedding index out of range [0, {rows})")
+    result = _into(out, weight[indices])
+    profiling.tock("embedding.forward", start, result.nbytes)
+    return result
+
+
+def _embedding_vjp(g, out, weight, needs, indices):
+    start = profiling.tick()
+    if sparse_grads_enabled():
+        grad = SparseGrad.from_lookup(indices, g, weight.shape)
+        profiling.tock("embedding.backward.sparse", start, grad.nbytes)
+    else:
+        grad = np.zeros_like(weight)
+        np.add.at(grad, indices, g)
+        profiling.tock("embedding.backward.dense", start, grad.nbytes)
+    return (grad,)
+
+
+def _fused_dense_forward(x, weight, *bias, out=None, activation):
+    start = profiling.tick()
+    z = np.matmul(x, weight, out=out)
+    if bias:
+        np.add(z, bias[0], out=z)
+    if activation == "relu":
+        np.maximum(z, 0.0, out=z)
+    elif activation == "sigmoid":
+        _stable_sigmoid(z, out=z)
+    elif activation == "tanh":
+        np.tanh(z, out=z)
+    profiling.tock("dense.fused_forward", start, z.nbytes)
+    return z
+
+
+def _fused_dense_vjp(g, out, x, weight, *bias, needs, activation):
+    start = profiling.tick()
+    # The activation derivative comes from the output (relu mask, s(1-s),
+    # 1-t²), so the forward keeps no pre-activation buffer.
+    if activation == "relu":
+        # The mask as 1.0/0.0 floats: one float multiply, no bool cast.
+        gz = np.greater(out, 0.0, out=np.empty_like(out))
+        gz *= g
+    elif activation == "sigmoid":
+        gz = g * out
+        gz *= 1.0 - out
+    elif activation == "tanh":
+        gz = np.square(out)
+        np.subtract(1.0, gz, out=gz)
+        np.multiply(g, gz, out=gz)
+    else:
+        gz = g
+    # An input that needs no gradient (a fixed-feature projection) skips
+    # its matmul.  A plain 2-D layer needs no unbroadcast.
+    plain = x.ndim == weight.ndim == 2 and (not bias or bias[0].ndim == 1)
+    grads = [None] * (2 + len(bias))
+    if needs[0]:
+        grad = np.matmul(gz, weight.T if plain else weight.swapaxes(-1, -2))
+        grads[0] = grad if plain else unbroadcast(grad, x.shape)
+    if needs[1]:
+        grad = np.matmul(x.T if plain else x.swapaxes(-1, -2), gz)
+        grads[1] = grad if plain else unbroadcast(grad, weight.shape)
+    if bias and needs[2]:
+        # np.add.reduce is the reduction ``sum`` dispatches to: same bits.
+        grads[2] = np.add.reduce(gz, axis=0) if plain else unbroadcast(gz, bias[0].shape)
+    profiling.tock("dense.fused_backward", start)
+    return grads
+
+
+def _bce_terms(x, y):
+    """Per-sample ``softplus(x) - x*y``, with softplus in the overflow-safe form."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))) - x * y
+
+
+def _bce_forward(x, y, *sample_weight, out=None):
+    start = profiling.tick()
+    weighted = _bce_terms(x, y)
+    if sample_weight:
+        weighted = weighted * sample_weight[0]
+    # ``weighted.mean()`` is this very reduction over the size.
+    loss = np.add.reduce(weighted, axis=None) / weighted.size
+    profiling.tock("loss.bce_fused_forward", start)
+    return _into(out, loss)
+
+
+def _bce_vjp(g, out, x, y, *sample_weight, needs):
+    start = profiling.tick()
+    inputs = (x, y) + sample_weight
+    shape = x.shape
+    agree = y.shape == shape and (not sample_weight or sample_weight[0].shape == shape)
+    if not agree:
+        shape = np.broadcast_shapes(*[t.shape for t in inputs])
+    scale = g / math.prod(shape)
+    # Labels are data: their gradient is computed only when asked for.
+    grads = [
+        scale * (_stable_sigmoid(x) - y) if needs[0] else None,
+        scale * (-x) if needs[1] else None,
+    ]
+    if sample_weight:
+        grads = [None if grad is None else grad * sample_weight[0] for grad in grads]
+        grads.append(scale * _bce_terms(x, y) if needs[2] else None)
+    if not agree:
+        # Each term's gradient spans the per-sample terms; reduce it back.
+        grads = [None if grad is None
+                 else unbroadcast(np.broadcast_to(grad, shape), t.shape)
+                 for grad, t in zip(grads, inputs)]
+    profiling.tock("loss.bce_fused_backward", start)
+    return grads
+
+
+#: The closed set of primitives — every graph op — keyed by name (the
+#: tracer's kind).
 #: Masks, signs and scales are recomputed from ``x`` with the forward's own
 #: ufuncs rather than saved, so a node has no side buffer replay must rewrite.
 PRIMITIVES = {prim.name: prim for prim in (
@@ -538,4 +684,16 @@ PRIMITIVES = {prim.name: prim for prim in (
     Primitive("leaky_relu", _leaky_relu_forward,
               lambda g, out, x, needs, negative_slope: (
                   g * np.where(x > 0.0, 1.0, negative_slope),)),
+    Primitive("reshape", _reshape_forward, lambda g, out, x, needs, shape: (
+        g.reshape(x.shape),)),
+    Primitive("transpose", _transpose_forward, lambda g, out, x, needs, axes: (
+        g.transpose(np.argsort(axes)),)),
+    Primitive("swapaxes", _swapaxes_forward, lambda g, out, x, needs, axes: (
+        np.swapaxes(g, *axes),)),
+    Primitive("getitem", _getitem_forward, _getitem_vjp),
+    Primitive("concat", _concat_forward, _concat_vjp),
+    Primitive("stack", _stack_forward, _stack_vjp),
+    Primitive("embedding", _embedding_forward, _embedding_vjp),
+    Primitive("fused_dense", _fused_dense_forward, _fused_dense_vjp),
+    Primitive("bce", _bce_forward, _bce_vjp),
 )}

@@ -26,11 +26,6 @@ them (stdlib ``ast`` only, no third-party dependencies):
     No ``.to_dense()`` / ``.add_to_dense()`` / ``np.add.at`` outside the
     sanctioned sparse-path files — densifying an embedding-table gradient
     turns an O(batch) step into O(table).
-``gradcheck-coverage``
-    Each of the ``_make`` primitives left in ``repro/nn/functional.py``
-    (a top-level function that calls ``Tensor._make``) must be referenced
-    in ``tests/nn/test_gradcheck.py``; the table primitives are checked by
-    that file's ``set(TABLE_CASES) == set(PRIMITIVES)`` assertion.
 ``eager-inner-loop``
     No hand-rolled eager training step (``model.loss`` → ``backward`` →
     ``optimizer.step``) in the driver layers (``repro/core/``,
@@ -131,7 +126,7 @@ def _dotted(node):
 
 
 class Rule:
-    """Base lint rule: per-file ``visit`` plus cross-file ``finalize``."""
+    """Base lint rule: a per-file ``visit``."""
 
     name = ""
     description = ""
@@ -150,10 +145,6 @@ class Rule:
 
     def visit(self, path, tree):
         """Return violations for one parsed file."""
-        return []
-
-    def finalize(self, files):
-        """Return violations needing the whole file set ({path: tree})."""
         return []
 
     def _violation(self, path, node, message):
@@ -464,95 +455,9 @@ class EagerInnerLoopRule(Rule):
         return violations
 
 
-@register
-class GradcheckCoverageRule(Rule):
-    name = "gradcheck-coverage"
-    description = (
-        "the _make primitives left in repro/nn/functional.py "
-        "must be referenced in tests/nn/test_gradcheck.py"
-    )
-
-    def __init__(self, gradcheck_tests=None):
-        self.gradcheck_tests = gradcheck_tests
-
-    @staticmethod
-    def _calls_make(func_def):
-        for node in ast.walk(func_def):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_make"
-            ):
-                return True
-        return False
-
-    @staticmethod
-    def _locate_tests(functional_path):
-        for ancestor in Path(functional_path).resolve().parents:
-            candidate = ancestor / "tests" / "nn" / "test_gradcheck.py"
-            if candidate.is_file():
-                return candidate
-        return None
-
-    def finalize(self, files):
-        functional = next(
-            (
-                (path, tree) for path, tree in files.items()
-                if _posix(path).endswith("repro/nn/functional.py")
-            ),
-            None,
-        )
-        if functional is None:
-            return []
-        path, tree = functional
-        primitives = [
-            node for node in tree.body
-            if isinstance(node, ast.FunctionDef) and self._calls_make(node)
-        ]
-        if not primitives:
-            return []
-        tests_path = self.gradcheck_tests or self._locate_tests(path)
-        if tests_path is None:
-            return [self._violation(
-                path, tree,
-                "cannot locate tests/nn/test_gradcheck.py to verify "
-                "primitive coverage (pass --gradcheck-tests)",
-            )]
-        try:
-            tests_tree = ast.parse(
-                Path(tests_path).read_text(), filename=str(tests_path)
-            )
-        except (OSError, SyntaxError) as error:
-            return [self._violation(
-                path, tree, f"cannot parse gradcheck tests: {error}"
-            )]
-        referenced = set()
-        for node in ast.walk(tests_tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-        return [
-            self._violation(
-                path, primitive,
-                f"primitive '{primitive.name}' registers a backward via "
-                f"Tensor._make but is never referenced in {tests_path}; "
-                "add a finite-difference gradcheck",
-            )
-            for primitive in primitives
-            if primitive.name not in referenced
-        ]
-
-
-def all_rules(gradcheck_tests=None):
+def all_rules():
     """Instantiate the full registered rule set."""
-    rules = []
-    for rule_class in RULE_REGISTRY:
-        if rule_class is GradcheckCoverageRule:
-            rules.append(rule_class(gradcheck_tests=gradcheck_tests))
-        else:
-            rules.append(rule_class())
-    return rules
+    return [rule_class() for rule_class in RULE_REGISTRY]
 
 
 #: rule names that are not Rule plugins but can appear in reports and be
@@ -567,8 +472,8 @@ BUILTIN_RULES = {
 }
 
 
-def known_rule_names(gradcheck_tests=None):
-    return {rule.name for rule in all_rules(gradcheck_tests)} | set(BUILTIN_RULES)
+def known_rule_names():
+    return {rule.name for rule in all_rules()} | set(BUILTIN_RULES)
 
 
 def _waived(violation, lines):
@@ -665,8 +570,8 @@ def lint_source(source, path="fixture.py", rules=None):
     return [v for v in violations if not _waived(v, lines)]
 
 
-def _rules_for(select, ignore, gradcheck_tests):
-    rules = all_rules(gradcheck_tests=gradcheck_tests)
+def _rules_for(select, ignore):
+    rules = all_rules()
     if select:
         rules = [rule for rule in rules if rule.name in select]
     if ignore:
@@ -674,16 +579,15 @@ def _rules_for(select, ignore, gradcheck_tests):
     return rules
 
 
-def lint_paths(paths, select=None, ignore=None, gradcheck_tests=None,
-               index=None):
+def lint_paths(paths, select=None, ignore=None, index=None):
     """Lint files/directories; returns (violations, files_checked).
 
     Builds (or reuses, via ``index``) a shared :class:`ProjectIndex` —
-    one parse per file for every rule — then runs per-file rules, the
-    cross-file ``finalize`` passes, waiver filtering, and the
-    stale-waiver audit over the waivers the run could have used.
+    one parse per file for every rule — then runs the rules, waiver
+    filtering, and the stale-waiver audit over the waivers the run could
+    have used.
     """
-    rules = _rules_for(select, ignore, gradcheck_tests)
+    rules = _rules_for(select, ignore)
     if index is None:
         index = ProjectIndex.build(paths)
     violations = [
@@ -691,16 +595,12 @@ def lint_paths(paths, select=None, ignore=None, gradcheck_tests=None,
                   message=f.message)
         for f in index.parse_failures
     ]
-    # Rules receive the real filesystem path (``finalize`` passes resolve
-    # sibling files from it); the violations they emit carry the
-    # ``_posix``-normalized path, matching the index keys.
+    # The violations rules emit carry the ``_posix``-normalized path,
+    # matching the index keys.
     for entry in index.files():
         for rule in rules:
             if rule.applies_to(entry.posix):
                 violations.extend(rule.visit(entry.path, entry.tree))
-    files = {entry.path: entry.tree for entry in index.files()}
-    for rule in rules:
-        violations.extend(rule.finalize(files))
 
     used = set()
     violations = _filter_waived(violations, index, used)
@@ -715,11 +615,11 @@ def lint_paths(paths, select=None, ignore=None, gradcheck_tests=None,
     return violations, len(index.entries)
 
 
-def _parse_rule_set(raw, gradcheck_tests=None):
+def _parse_rule_set(raw):
     if not raw:
         return None
     names = {name.strip() for name in raw.split(",") if name.strip()}
-    unknown = names - known_rule_names(gradcheck_tests)
+    unknown = names - known_rule_names()
     if unknown:
         raise UsageError(
             f"unknown rule name(s): {', '.join(sorted(unknown))} "
@@ -764,10 +664,6 @@ def main(argv=None):
         help="comma-separated rule names to skip",
     )
     parser.add_argument(
-        "--gradcheck-tests", default=None,
-        help="explicit path to tests/nn/test_gradcheck.py",
-    )
-    parser.add_argument(
         "--json", default=None, metavar="PATH",
         help="write a machine-readable JSON report",
     )
@@ -793,18 +689,17 @@ def main(argv=None):
 
     try:
         _check_paths(args.paths)
-        select = _parse_rule_set(args.select, args.gradcheck_tests)
-        ignore = _parse_rule_set(args.ignore, args.gradcheck_tests)
+        select = _parse_rule_set(args.select)
+        ignore = _parse_rule_set(args.ignore)
         baseline = Baseline.load(args.baseline) if args.baseline else None
         violations, files_checked = lint_paths(
             args.paths, select=select, ignore=ignore,
-            gradcheck_tests=args.gradcheck_tests,
         )
     except UsageError as error:
         print(f"repro.tooling.lint: error: {error}", file=sys.stderr)
         return EXIT_USAGE
 
-    rules = _rules_for(select, ignore, args.gradcheck_tests)
+    rules = _rules_for(select, ignore)
     report = _build_report(violations, files_checked, rules)
     if args.write_baseline:
         Baseline.from_findings(report.findings).save(args.write_baseline)

@@ -27,7 +27,7 @@ This module provides the guard rails PyTorch uses for the same problem:
   through ``repro.utils.profiling`` as ``sparse.densify`` counters).
 
 Both modes are **off by default** and near-zero-cost when disabled: the
-engine consults a single module flag (``_ACTIVE`` in ``Tensor._make``, one
+engine consults a single module flag (``_ACTIVE`` in ``tensor._apply``, one
 attribute check per backward node) before doing any sanitizer work.  This
 module deliberately imports nothing from ``repro.nn`` so the engine can
 import it without cycles.
@@ -232,7 +232,7 @@ def notify_mutation(array):
 
 
 # ----------------------------------------------------------------------
-# Graph-node hooks (called from ``Tensor._make`` / ``Tensor.backward``
+# Graph-node hooks (called from ``tensor._apply`` / ``Tensor.backward``
 # only when ``_ACTIVE`` / a node's saved state says there is work to do).
 # ----------------------------------------------------------------------
 
@@ -249,8 +249,8 @@ def on_node_created(out, parents, op):
     """Annotate a freshly created graph node of kind ``op`` with sanitizer state."""
     out._op = op
     if _VERSION_CHECKS and out._backward is not None:
-        # Saved-buffer versions: self (closures often capture the output,
-        # e.g. exp/tanh/fused_dense) followed by each operand.
+        # Saved-buffer versions: self (many VJPs read the output, e.g.
+        # exp/tanh/fused_dense) followed by each operand.
         out._saved_versions = (out._version,) + tuple(
             parent._version for parent in parents
         )

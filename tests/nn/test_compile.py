@@ -24,7 +24,7 @@ from repro.core.param_space import DomainParameterSpace
 from repro.data import DomainSpec, SyntheticConfig, generate_dataset, sample_batch
 from repro.data.batching import Batch
 from repro.models import MODEL_REGISTRY, build_model
-from repro.nn import Module, Parameter, Tensor, eager_execution
+from repro.nn import Module, Parameter, Tensor, eager_execution, use_sparse_grads
 from repro.nn import functional as F
 from repro.nn import compile as compile_mod
 from repro.nn.compile import executor_for
@@ -107,7 +107,7 @@ class TestReplayParity:
         tape = executor_for(model).tape_for(make_batch(6, 0), optimizer)
         assert tape is not None, "omni step unexpectedly bailed to eager"
         kinds = {rec.kind for rec in tape._node_records}
-        missing = (set(compile_mod._FWD_KERNELS) | set(PRIMITIVES)) - kinds
+        missing = set(PRIMITIVES) - kinds
         assert not missing, f"primitives never traced: {sorted(missing)}"
 
     def test_replay_bitwise_equals_eager_across_all_primitives(self):
@@ -152,6 +152,20 @@ class TableOpModel(Module):
 
 CONST_ROW = Tensor(spawn_rng(4, "compile", "const").normal(size=(4,)))
 CONST_COL = Tensor(spawn_rng(5, "compile", "const").normal(size=(4, 1)))
+CONST_LABELS = Tensor(spawn_rng(6, "compile", "const").integers(0, 2, size=6) * 1.0)
+CONST_INPUT = Tensor(spawn_rng(7, "compile", "const").normal(size=(5, 4)))
+CONST_SQUARE = Tensor(spawn_rng(8, "compile", "const").normal(size=(4, 4)))
+
+
+def read_twice(h):
+    """Two consumers of ``h``: its gradient cell accumulates."""
+    return (h * h).sum() + h.sum()
+
+
+def concat_shared_input(emb):
+    """A concat input that also feeds another op."""
+    doubled = emb * 2.0
+    return (F.concat([emb, doubled], axis=-1) ** 2).sum() + doubled.exp().sum()
 
 TABLE_TERMS = {
     # 0-d outputs that their own VJP reads
@@ -170,6 +184,30 @@ TABLE_TERMS = {
         + (emb @ CONST_COL).sum()
     ),
     "dropout": lambda m, emb: F.dropout(emb, 0.25, m._dropout_rng).sum(),
+    # configurations the hand-written replay kernels used to refuse
+    "bce-sample-weight": lambda m, emb: F.bce_with_logits(
+        emb[:, 0], CONST_LABELS, sample_weight=emb[:, 1] ** 2),
+    "bce-column-logits": lambda m, emb: F.bce_with_logits(emb[:, :1], CONST_LABELS),
+    "fused-dense-sigmoid-const-input": lambda m, emb: F.fused_dense(
+        CONST_INPUT, m.col, activation="sigmoid").sum(),
+    "fused-dense-tanh-const-input": lambda m, emb: F.fused_dense(
+        CONST_INPUT, m.col, activation="tanh").sum(),
+    "fused-dense-read-twice": lambda m, emb: read_twice(
+        F.fused_dense(emb, m.col, activation="relu")),
+    "concat-shared-input": lambda m, emb: concat_shared_input(emb),
+    # shape entries: on a graph-interior view and on a parameter copy
+    "stack": lambda m, emb: (
+        (F.stack([emb, emb * m.vec], axis=1) ** 2).sum()
+        + F.stack([m.vec, m.col.reshape(4)], axis=0).sum()
+    ),
+    "transpose": lambda m, emb: (
+        ((emb.transpose() @ emb) * CONST_SQUARE).sum()
+        + (m.col.transpose() @ m.col).sum()
+    ),
+    "swapaxes": lambda m, emb: (
+        (emb.reshape(len(emb), 2, 2).swapaxes(1, 2) * CONST_SQUARE[:2, :2]).sum()
+        + (m.col.swapaxes(0, 1) @ m.col).sum()
+    ),
 }
 
 
@@ -183,6 +221,45 @@ def test_table_op_replays_bitwise(case):
     assert tape is not None, f"{case} unexpectedly bailed to eager"
     for step in range(3):
         tape.replay_verified(make_batch(6, step + 1), optimizer, model)
+
+
+def replay_verified_steps(model, steps=3):
+    optimizer = make_optimizer("adam", model.parameters(), 0.05)
+    tape = executor_for(model).tape_for(make_batch(6, 0), optimizer)
+    assert tape is not None, "step unexpectedly bailed to eager"
+    for step in range(steps):
+        tape.replay_verified(make_batch(6, step + 1), optimizer, model)
+
+
+class BatchIndexModel(TableOpModel):
+    """Adds a getitem whose index is a batch field (staged per replay)."""
+
+    def loss(self, batch):
+        return super().loss(batch) + (self.table[batch.users] * CONST_ROW).sum()
+
+
+def test_getitem_with_batch_index_replays_bitwise():
+    replay_verified_steps(BatchIndexModel(lambda m, emb: emb.sum()))
+
+
+def test_dense_embedding_grads_replay_bitwise():
+    with use_sparse_grads(False):
+        replay_verified_steps(TableOpModel(lambda m, emb: (emb * m.vec).sum()))
+
+
+def test_negative_embedding_id_raises_in_eager_and_replay():
+    """``F.embedding`` rejects a -1 id whether the step runs eagerly (the
+    trace) or replays; eager indexing used to wrap it to the last row."""
+    model = TableOpModel(lambda m, emb: emb.sum())
+    optimizer = make_optimizer("adam", model.parameters(), 0.05)
+    executor = executor_for(model)
+    bad = dataclasses.replace(make_batch(6, 1), users=np.array([-1, 0, 1, 2, 3, 4]))
+    with pytest.raises(IndexError):
+        executor.step(bad, optimizer)
+    executor.step(make_batch(6, 0), optimizer)
+    assert executor.traces == 1
+    with pytest.raises(IndexError):
+        executor.step(bad, optimizer)
 
 
 ALL_MODELS = sorted(MODEL_REGISTRY)
@@ -273,6 +350,22 @@ class TestRegistryOracle:
         assert executor.traces == 1 and executor.replays == 3
         assert any(op.startswith("tape.fwd.") for op in prof.ops)
         assert any(op.startswith("tape.bwd.") for op in prof.ops)
+
+    def test_op_counters_see_replayed_steps(self, fixed_dataset):
+        """Replay runs the entries themselves, so their profiling probes
+        count every step, not only the trace."""
+        model = build_model("mlp", fixed_dataset, seed=0)
+        optimizer = make_optimizer("adam", model.parameters(), 0.05)
+        executor = executor_for(model)
+        batches = registry_batches(fixed_dataset, None, 1, "mlp")
+        with profiling.profile() as prof:
+            for _ in range(4):
+                executor.step(next(batches), optimizer)
+        assert executor.traces == 1 and executor.replays == 3
+        (tape,) = executor._tapes.values()
+        nodes = sum(rec.kind == "fused_dense" for rec in tape._node_records)
+        assert nodes > 0
+        assert prof.ops["dense.fused_forward"].calls == 4 * nodes
 
     def test_profiled_replay_catches_truncated_labels(self, fixed_dataset):
         """The profiled forward loop runs one kernel per label: a label

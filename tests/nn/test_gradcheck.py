@@ -239,6 +239,45 @@ TABLE_CASES = {
     "leaky_relu": (lambda t: (F.leaky_relu(t, 0.1) * t).sum(), _away_from_kink((3, 3))),
 }
 
+# The shape, gather and fused entries draw from their own stream, so the
+# inputs of the cases above stay as they were.  Weighting each output by a
+# non-uniform constant makes a misrouted gradient visible.
+ENTRY_RNG = np.random.default_rng(2)
+GATHER_IDX = np.array([0, 2, 2, 4])
+W34 = ENTRY_RNG.normal(size=(3, 4))
+W342 = ENTRY_RNG.normal(size=(3, 4, 2))
+W432 = ENTRY_RNG.normal(size=(4, 3, 2))
+W43 = ENTRY_RNG.normal(size=(4, 3))
+W3X10 = ENTRY_RNG.normal(size=(3, 10))
+W324 = ENTRY_RNG.normal(size=(3, 2, 4))
+CONCAT_SIDE = Tensor(ENTRY_RNG.normal(size=(3, 2)))
+STACK_SIDE = Tensor(ENTRY_RNG.normal(size=(3, 4)))
+
+TABLE_CASES.update({
+    "reshape": (lambda t: (t.reshape(3, 4) ** 2 * W34).sum(), ENTRY_RNG.normal(size=(2, 6))),
+    "transpose": (lambda t: (t.transpose(1, 2, 0) ** 2 * W342).sum(),
+                  ENTRY_RNG.normal(size=(2, 3, 4))),
+    "swapaxes": (lambda t: (t.swapaxes(0, 2) ** 2 * W432).sum(),
+                 ENTRY_RNG.normal(size=(2, 3, 4))),
+    # a repeated index: the gathered gradients of row 2 must add up
+    "getitem": (lambda t: (t[GATHER_IDX] ** 2 * W43).sum() + (t[1:3] * t[3:5]).sum(),
+                ENTRY_RNG.normal(size=(5, 3))),
+    "concat": (lambda t: (F.concat([t, CONCAT_SIDE, t * 2.0], axis=1) ** 2 * W3X10).sum(),
+               ENTRY_RNG.normal(size=(3, 4))),
+    "stack": (lambda t: (F.stack([t, STACK_SIDE], axis=1) ** 2 * W324).sum(),
+              ENTRY_RNG.normal(size=(3, 4))),
+    "embedding": (lambda t: (F.embedding(t, GATHER_IDX) ** 2 * W43).sum(),
+                  ENTRY_RNG.normal(size=(6, 3))),
+    # ``t`` is the input, the weight and (summed) the bias at once
+    "fused_dense": (lambda t: (F.fused_dense(t, t.transpose(), t.sum(axis=1),
+                                             activation="sigmoid") * W43[:, :1]).sum(),
+                    ENTRY_RNG.normal(size=(4, 3))),
+    # logits, soft labels and sample weights all depend on ``t``
+    "bce": (lambda t: F.bce_with_logits(t[:, 0], t[:, 1].sigmoid(),
+                                        sample_weight=t[:, 2].exp()),
+            ENTRY_RNG.normal(size=(8, 3))),
+})
+
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_table_primitive_gradcheck(name):

@@ -171,3 +171,29 @@ def test_no_grad_is_isolated_per_thread():
         w.join(timeout=10.0)
     assert observed == {"enabled": True, "recorded": True}
     assert is_grad_enabled()
+
+
+def test_stable_sigmoid_is_bitwise_the_masked_formula():
+    """The branch-free sigmoid equals the per-sign masked formula bit for
+    bit — over normals at many scales, the edges, and with ``out=x``."""
+    from repro.nn.tensor import _stable_sigmoid
+
+    def masked(x):
+        out = np.empty_like(x)
+        positive = x >= 0
+        out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+        exp_x = np.exp(x[~positive])
+        out[~positive] = exp_x / (1.0 + exp_x)
+        return out
+
+    rng = np.random.default_rng(0)
+    normals = rng.normal(size=100_000)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 709.0, -745.0, 745.0, -709.0])
+    cases = [scale * normals for scale in (1e-3, 1e-1, 1.0, 10.0, 40.0, 800.0)]
+    cases += [edges, normals.reshape(250, 400), np.array(-3.0)]
+    for x in cases:
+        expected = masked(x).view(np.uint64)
+        assert np.array_equal(_stable_sigmoid(x).view(np.uint64), expected)
+        aliased = x.copy()
+        assert _stable_sigmoid(aliased, out=aliased) is aliased
+        assert np.array_equal(aliased.view(np.uint64), expected)

@@ -1,8 +1,7 @@
 """Unit tests for the repo-invariant AST lint pass.
 
 Each rule is exercised against small fixture snippets — one violating and
-one clean — plus waiver handling, the cross-file gradcheck-coverage rule
-over a synthetic repo tree, and the whole-repo invariant that
+one clean — plus waiver handling and the whole-repo invariant that
 ``python -m repro.tooling.lint src/`` exits 0.
 """
 
@@ -336,47 +335,6 @@ class TestServingScope:
         """, path="src/repro/serving/service.py") == [
             "dense-grad-materialization"
         ]
-
-
-class TestGradcheckCoverage:
-    def make_tree(self, tmp_path, test_body):
-        functional = tmp_path / "src" / "repro" / "nn" / "functional.py"
-        functional.parent.mkdir(parents=True)
-        functional.write_text(textwrap.dedent("""
-            from .tensor import Tensor
-
-            def covered(x):
-                return Tensor._make(x.data, (x,), lambda g: (g,))
-
-            def uncovered(x):
-                return Tensor._make(x.data, (x,), lambda g: (g,))
-
-            def not_a_primitive(x):
-                return covered(x)
-        """))
-        tests = tmp_path / "tests" / "nn" / "test_gradcheck.py"
-        tests.parent.mkdir(parents=True)
-        tests.write_text(textwrap.dedent(test_body))
-        return tmp_path
-
-    def test_uncovered_primitive_is_flagged(self, tmp_path):
-        root = self.make_tree(tmp_path, """
-            def test_covered():
-                check(lambda t: covered(t), x)
-        """)
-        violations, _ = lint_paths([root / "src"])
-        assert [v.rule for v in violations] == ["gradcheck-coverage"]
-        assert "uncovered" in violations[0].message
-
-    def test_full_coverage_passes(self, tmp_path):
-        root = self.make_tree(tmp_path, """
-            import functional as F
-            def test_all():
-                check(lambda t: F.covered(t), x)
-                check(lambda t: F.uncovered(t), x)
-        """)
-        violations, _ = lint_paths([root / "src"])
-        assert violations == []
 
 
 class TestDriver:
