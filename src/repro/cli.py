@@ -141,13 +141,6 @@ def build_parser():
                         help="optional SessionConfig JSON file; its "
                              "'online' section configures the pipeline")
     online.add_argument("--verbose", action="store_true")
-
-    commands.add_parser(
-        "analyze",
-        help="whole-program static analysis: audit the parallel runtime "
-             "for nondeterminism (delegates to repro.tooling.analyze)",
-        add_help=False,
-    )
     return parser
 
 
@@ -230,15 +223,6 @@ def _run_online_sim(args):
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    # ``analyze`` forwards its whole tail (options included) to the
-    # analyzer's own parser — argparse.REMAINDER cannot capture leading
-    # options, so dispatch before parsing (the subparser only lists it
-    # in ``--help``).
-    if argv and argv[0] == "analyze":
-        from .tooling.analyze import main as analyze_main
-        return analyze_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
     if args.command == "list":
         print("experiments:", ", ".join(sorted(EXPERIMENT_RUNNERS)))

@@ -1,6 +1,6 @@
-"""Correctness tooling: runtime sanitizer + whole-program static analysis.
+"""Correctness tooling: the runtime sanitizer and the repo-invariant lint.
 
-Three layers guard the fast paths introduced by the perf work (zero-copy
+Two layers guard the fast paths introduced by the perf work (zero-copy
 views, in-place state algebra, sparse embedding gradients, compiled tape
 replay):
 
@@ -9,17 +9,19 @@ replay):
   :func:`replay_verify`, and graph diagnostics (live-node census,
   SparseGrad densification counters).  The engine imports it; it is the
   only layer on the training path.
-* :mod:`repro.tooling.analyzer` — the static-analysis framework and the
-  determinism/effect auditor over the parallel runtime.  A CI check
-  driven by ``python -m repro.tooling.analyze``; training never imports
-  it.  Compiled tapes have no static check: the tier-1 oracle replays
-  every registry model's tape under ``Tape.replay_verified`` instead.
-* :mod:`repro.tooling.lint` — the repo-invariant lint pass, rebuilt as
-  rule plugins over the analyzer's shared project index; run as
-  ``python -m repro.tooling.lint src/`` (wired into CI).
+* :mod:`repro.tooling.lint` — the repo-invariant AST lint pass, rule
+  plugins over one parse per file; run as
+  ``python -m repro.tooling.lint src/`` (wired into CI).  Training never
+  imports it.
 
-See DESIGN.md §8 (sanitizer/lint) and §13 (static analysis) for the full
-write-ups.
+Determinism is checked by running the code, not by reading it: the
+tier-1 oracle ``tests/test_determinism_oracle.py`` runs the seeded
+training entry points twice in two differently seeded processes and
+pins their digests.  Compiled tapes are checked the same way, by
+``Tape.replay_verified`` over every registry model.
+
+See DESIGN.md §8 (sanitizer/lint) and §13 (determinism oracle) for the
+full write-ups.
 """
 
 from .sanitizer import (

@@ -41,19 +41,18 @@ them (stdlib ``ast`` only, no third-party dependencies):
 
 A violation may be waived where the code is a sanctioned exception by
 putting ``# lint: allow[rule-name]`` on the flagged line or the line
-directly above it.
+directly above it; inline waivers are the one suppression mechanism.
 
-The pass runs on the shared :class:`repro.tooling.analyzer.ProjectIndex`
-(one parse per file, reused by every rule and by the other analyzer
-front ends); rules are plugins registered with :func:`register`.  Exit
-codes follow the analyzer contract: ``0`` clean, ``1`` findings, ``2``
-usage/IO error.
+Each file is decoded per PEP 263 and parsed once; a file that does not
+decode or parse is a ``parse-error`` violation.  Rules are plugins
+registered with :func:`register`.  Exit codes: ``0`` clean, ``1``
+violations, ``2`` usage/IO error (a missing path, an unknown rule name,
+an unreadable file, or paths that hold no ``.py`` file).
 
 Run::
 
     PYTHONPATH=src python -m repro.tooling.lint src/
     PYTHONPATH=src python -m repro.tooling.lint --list-rules
-    PYTHONPATH=src python -m repro.tooling.lint src/ --json report.json
 """
 
 from __future__ import annotations
@@ -67,17 +66,6 @@ import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analyzer.framework import (
-    EXIT_CLEAN,
-    EXIT_FINDINGS,
-    EXIT_USAGE,
-    Baseline,
-    Finding,
-    Report,
-    UsageError,
-)
-from .analyzer.project import ProjectIndex, _posix
-
 __all__ = [
     "Violation",
     "Rule",
@@ -88,11 +76,25 @@ __all__ = [
     "main",
 ]
 
-FRONTEND = "lint"
+EXIT_CLEAN = 0
+EXIT_FINDINGS = 1
+EXIT_USAGE = 2
 
-#: the exact comment syntax ``_waived`` honours; anything else (wrong
+#: the exact comment syntax ``_waiver_line`` honours; anything else (wrong
 #: spacing, typo'd rule) never suppresses and is caught as stale.
 _WAIVER_RE = re.compile(r"lint: allow\[([^\]\s]+)\]")
+
+
+class UsageError(Exception):
+    """The pass could not run (exit ``2``), as opposed to finding
+    violations (exit ``1``)."""
+
+
+def _posix(path):
+    """Repo-relative posix form of ``path`` (anchored at ``src/repro/``)."""
+    text = str(path).replace("\\", "/")
+    anchor = text.find("src/repro/")
+    return text[anchor:] if anchor > 0 else text
 
 
 @dataclass(frozen=True)
@@ -106,11 +108,54 @@ class Violation:
     def render(self):
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
 
-    def to_finding(self):
-        return Finding(
-            frontend=FRONTEND, rule=self.rule, path=self.path,
-            message=self.message, line=self.line, col=self.col,
-        )
+
+@dataclass(frozen=True)
+class SourceFile:
+    """One decoded, parsed file: what every rule and the waiver audit read."""
+
+    path: object
+    posix: str
+    source: str
+    lines: list
+    tree: ast.AST
+
+
+def _parse_error(path, line, message):
+    return Violation(path=_posix(path), line=line, col=0, rule="parse-error",
+                     message=message)
+
+
+def _load(path):
+    """A :class:`SourceFile`, or a ``parse-error`` :class:`Violation` for a
+    file that does not decode (PEP 263, via ``tokenize.open``) or parse.
+    An unreadable file is a :class:`UsageError`."""
+    try:
+        with tokenize.open(path) as handle:
+            source = handle.read()
+    except (SyntaxError, UnicodeDecodeError) as error:
+        return _parse_error(path, 1, f"cannot decode source: {error}")
+    except OSError as error:
+        raise UsageError(f"cannot read {path}: {error}") from None
+    try:
+        tree = ast.parse(source, filename=str(path))
+    except SyntaxError as error:
+        return _parse_error(path, error.lineno or 1, str(error))
+    return SourceFile(path, _posix(path), source, source.splitlines(), tree)
+
+
+def _collect_files(paths):
+    files = []
+    for raw in paths:
+        path = Path(raw)
+        if not path.exists():
+            raise UsageError(f"no such file or directory: {raw}")
+        if path.is_dir():
+            files.extend(sorted(path.rglob("*.py")))
+        elif path.suffix == ".py":
+            files.append(path)
+    if not files:
+        raise UsageError(f"no .py file in: {' '.join(map(str, paths))}")
+    return files
 
 
 def _dotted(node):
@@ -461,7 +506,7 @@ def all_rules():
 
 
 #: rule names that are not Rule plugins but can appear in reports and be
-#: selected/ignored: the index's parse failures and the waiver auditor.
+#: selected/ignored: decode/parse failures and the waiver auditor.
 BUILTIN_RULES = {
     "parse-error": "file does not parse; nothing else can be checked",
     "stale-waiver": (
@@ -476,12 +521,13 @@ def known_rule_names():
     return {rule.name for rule in all_rules()} | set(BUILTIN_RULES)
 
 
-def _waived(violation, lines):
+def _waiver_line(violation, lines):
+    """The line whose ``lint: allow[rule]`` comment waives ``violation``."""
     tag = f"lint: allow[{violation.rule}]"
     for lineno in (violation.line, violation.line - 1):
         if 1 <= lineno <= len(lines) and tag in lines[lineno - 1]:
-            return True
-    return False
+            return lineno
+    return None
 
 
 def _waiver_declarations(entry):
@@ -506,18 +552,13 @@ def _waiver_declarations(entry):
     return found
 
 
-def _filter_waived(violations, index, used):
+def _filter_waived(violations, files, used):
     """Drop waived violations, recording which waiver lines fired."""
     kept = []
     for violation in violations:
-        entry = index.entries.get(violation.path)
+        entry = files.get(violation.path)
         lines = entry.lines if entry is not None else ()
-        tag = f"lint: allow[{violation.rule}]"
-        waiving_line = None
-        for lineno in (violation.line, violation.line - 1):
-            if 1 <= lineno <= len(lines) and tag in lines[lineno - 1]:
-                waiving_line = lineno
-                break
+        waiving_line = _waiver_line(violation, lines)
         if waiving_line is None:
             kept.append(violation)
         else:
@@ -525,7 +566,7 @@ def _filter_waived(violations, index, used):
     return kept
 
 
-def _stale_waivers(index, used, active_rules, select):
+def _stale_waivers(files, used, active_rules, select):
     """Waiver comments that suppressed nothing in this run.
 
     Only waivers for rules that actually ran are judged — under
@@ -534,7 +575,7 @@ def _stale_waivers(index, used, active_rules, select):
     full run (they can never suppress anything).
     """
     stale = []
-    for entry in index.entries.values():
+    for entry in files.values():
         for lineno, rule in _waiver_declarations(entry):
             if select is not None and rule not in select:
                 continue
@@ -567,7 +608,7 @@ def lint_source(source, path="fixture.py", rules=None):
     for rule in rules:
         if rule.applies_to(posix):
             violations.extend(rule.visit(path, tree))
-    return [v for v in violations if not _waived(v, lines)]
+    return [v for v in violations if _waiver_line(v, lines) is None]
 
 
 def _rules_for(select, ignore):
@@ -579,40 +620,41 @@ def _rules_for(select, ignore):
     return rules
 
 
-def lint_paths(paths, select=None, ignore=None, index=None):
+def lint_paths(paths, select=None, ignore=None):
     """Lint files/directories; returns (violations, files_checked).
 
-    Builds (or reuses, via ``index``) a shared :class:`ProjectIndex` —
-    one parse per file for every rule — then runs the rules, waiver
+    Parses each file once for every rule, then runs the rules, waiver
     filtering, and the stale-waiver audit over the waivers the run could
-    have used.
+    have used.  Raises :class:`UsageError` when a path is missing, the
+    paths hold no ``.py`` file, or a file cannot be read.
     """
     rules = _rules_for(select, ignore)
-    if index is None:
-        index = ProjectIndex.build(paths)
-    violations = [
-        Violation(path=f.path, line=f.line or 1, col=f.col, rule=f.rule,
-                  message=f.message)
-        for f in index.parse_failures
-    ]
+    collected = _collect_files(paths)
+    files, violations = {}, []
+    for path in collected:
+        loaded = _load(path)
+        if isinstance(loaded, Violation):
+            violations.append(loaded)
+        else:
+            files[loaded.posix] = loaded
     # The violations rules emit carry the ``_posix``-normalized path,
-    # matching the index keys.
-    for entry in index.files():
+    # matching the ``files`` keys.
+    for entry in files.values():
         for rule in rules:
             if rule.applies_to(entry.posix):
                 violations.extend(rule.visit(entry.path, entry.tree))
 
     used = set()
-    violations = _filter_waived(violations, index, used)
+    violations = _filter_waived(violations, files, used)
     stale_active = "stale-waiver" not in (ignore or ()) and (
         select is None or "stale-waiver" in select
     )
     if stale_active:
         active_rules = {rule.name for rule in rules}
-        stale = _stale_waivers(index, used, active_rules, select)
-        violations.extend(_filter_waived(stale, index, set()))
+        stale = _stale_waivers(files, used, active_rules, select)
+        violations.extend(_filter_waived(stale, files, set()))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return violations, len(index.entries)
+    return violations, len(collected)
 
 
 def _parse_rule_set(raw):
@@ -626,24 +668,6 @@ def _parse_rule_set(raw):
             "(see --list-rules)"
         )
     return names
-
-
-def _check_paths(paths):
-    for raw in paths:
-        if not Path(raw).exists():
-            raise UsageError(f"no such file or directory: {raw}")
-
-
-def _build_report(violations, files_checked, rules):
-    report = Report()
-    report.extend([v.to_finding() for v in violations])
-    report.note(
-        FRONTEND,
-        files_checked=files_checked,
-        rules=sorted(rule.name for rule in rules),
-        violations=len(violations),
-    )
-    return report
 
 
 def main(argv=None):
@@ -664,18 +688,6 @@ def main(argv=None):
         help="comma-separated rule names to skip",
     )
     parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write a machine-readable JSON report",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="committed findings baseline; fail only on new findings",
-    )
-    parser.add_argument(
-        "--write-baseline", default=None, metavar="PATH",
-        help="write the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="list rules and exit"
     )
     args = parser.parse_args(argv)
@@ -688,29 +700,14 @@ def main(argv=None):
         return EXIT_CLEAN
 
     try:
-        _check_paths(args.paths)
         select = _parse_rule_set(args.select)
         ignore = _parse_rule_set(args.ignore)
-        baseline = Baseline.load(args.baseline) if args.baseline else None
         violations, files_checked = lint_paths(
             args.paths, select=select, ignore=ignore,
         )
     except UsageError as error:
         print(f"repro.tooling.lint: error: {error}", file=sys.stderr)
         return EXIT_USAGE
-
-    rules = _rules_for(select, ignore)
-    report = _build_report(violations, files_checked, rules)
-    if args.write_baseline:
-        Baseline.from_findings(report.findings).save(args.write_baseline)
-        print(
-            f"repro.tooling.lint: wrote baseline with "
-            f"{len(report.findings)} finding(s) to {args.write_baseline}"
-        )
-        return EXIT_CLEAN
-    new, known = report.finalize(baseline)
-    if args.json:
-        report.write_json(args.json, baseline)
 
     for violation in violations:
         print(violation.render())
@@ -719,13 +716,12 @@ def main(argv=None):
         print("\nstale waivers — delete these comments:")
         for violation in stale:
             print(f"  {violation.path}:{violation.line}")
-    status = "FAILED" if new else "ok"
-    suffix = f" ({len(known)} baselined)" if known else ""
+    status = "FAILED" if violations else "ok"
     print(
         f"repro.tooling.lint: {files_checked} files checked, "
-        f"{len(violations)} violation(s){suffix} — {status}"
+        f"{len(violations)} violation(s) — {status}"
     )
-    return EXIT_FINDINGS if new else EXIT_CLEAN
+    return EXIT_FINDINGS if violations else EXIT_CLEAN
 
 
 if __name__ == "__main__":

@@ -45,12 +45,16 @@ assert CONFIG.dn_rounds > 1  # the DN outer loop must actually loop
 # ----------------------------------------------------------------------
 # The scenario
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def stream():
+def make_stream():
     return EventStream(StreamConfig(
         n_domains=N_DOMAINS, n_users=120, n_items=80, latent_dim=6,
         n_windows=3, window_events=180, drift_rate=0.2, seed=0,
     ))
+
+
+@pytest.fixture(scope="module")
+def stream():
+    return make_stream()
 
 
 def make_model(stream):

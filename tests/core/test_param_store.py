@@ -1,9 +1,9 @@
-"""DomainParameterSpace layouts: clustered semantics + pinned defaults.
+"""DomainParameterSpace layouts: clustered semantics + identity defaults.
 
 A :class:`ClusterPlan` lays out the delta plane; the default identity
-plan (every domain its own cluster, no heads) is one delta per domain,
-and its training results are pinned to literal digests so that a change
-to the storage cannot move them unnoticed.
+plan (every domain its own cluster, no heads) is one delta per domain.
+Its training results are pinned to literal digests by
+``tests/test_determinism_oracle.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.core import (
     DomainGroup,
     DomainParameterSpace,
     plan_clusters,
-    train_space,
 )
 from repro.data import taobao_sim
 from repro.metrics import evaluate_bank
@@ -28,10 +27,6 @@ from repro.nn.state import (
     state_scale,
     zeros_like_state,
 )
-from repro.online import EventStream, StreamConfig
-from repro.utils.seeding import spawn_rng
-
-import tests.core.test_algorithm3_single_source as alg3
 from tests.conftest import make_tiny_dataset
 
 
@@ -192,45 +187,6 @@ def test_space_rejects_mismatched_store(dataset):
     model = build_model("mlp", dataset, seed=0)
     with pytest.raises(ValueError, match="plan covers"):
         DomainParameterSpace(model, 4, plan=ClusterPlan.identity(3))
-
-
-# ----------------------------------------------------------------------
-# The default identity plan, pinned across commits
-# ----------------------------------------------------------------------
-# test_algorithm3_single_source compares every call site with a reference
-# that trains through the same space, so a storage change moves both
-# sides at once.  These digests of its scenario were computed with the
-# former dense one-dict-per-domain backend and must never move.
-PINNED_DIGESTS = {
-    "train_space":
-        "af6fef1476aa87e50d7382792569be5276532ec83795a649b9c5439c3d44ec7d",
-    "mamdr_fit":
-        "b63b44d439cf4cdd12ae6d35f7d845892bc67d9f14a0214084d2b1d371def88a",
-}
-
-
-@pytest.fixture(scope="module")
-def alg3_stream():
-    return EventStream(StreamConfig(
-        n_domains=alg3.N_DOMAINS, n_users=120, n_items=80, latent_dim=6,
-        n_windows=3, window_events=180, drift_rate=0.2, seed=0,
-    ))
-
-
-@pytest.fixture(scope="module")
-def alg3_dataset(alg3_stream):
-    return alg3.make_trainer(alg3_stream).window_dataset()
-
-
-def test_default_space_matches_pinned_digests(alg3_stream, alg3_dataset):
-    space = train_space(alg3.make_model(alg3_stream), alg3_dataset,
-                        alg3.CONFIG, spawn_rng(alg3.SEED, "scenario"))
-    bank = MAMDR().fit(alg3.make_model(alg3_stream), alg3_dataset,
-                       alg3.CONFIG, seed=alg3.SEED)
-    assert {
-        "train_space": alg3.space_digest(space),
-        "mamdr_fit": alg3.bank_digest(bank),
-    } == PINNED_DIGESTS
 
 
 def test_real_plan_training_runs_and_evaluates(dataset, fast_config):

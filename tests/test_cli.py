@@ -20,13 +20,6 @@ def test_stats_command(capsys):
     assert "D1" in out and "CTR Ratio" in out
 
 
-def test_analyze_command(capsys):
-    """``analyze`` delegates to the analyzer's own driver."""
-    assert main(["analyze"]) == 0
-    out = capsys.readouterr().out
-    assert "effects:" in out and "functions audited" in out
-
-
 def test_run_requires_known_experiment():
     parser = build_parser()
     with pytest.raises(SystemExit):

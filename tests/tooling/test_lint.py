@@ -7,11 +7,15 @@ one clean — plus waiver handling and the whole-repo invariant that
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.tooling.lint import all_rules, lint_paths, lint_source, main
 
 pytestmark = pytest.mark.lint
@@ -439,33 +443,53 @@ class TestExitCodes:
         path.write_text(self.BAD)
         assert main([str(path), "--ignore", "raw-random"]) == 0
 
-    def test_json_report_is_written(self, tmp_path):
-        import json
-
+    @pytest.mark.parametrize("source", [
+        b'x = "\xff\xfe"\n',
+        b'"""Docstring."""\n\n\nx = "\xff\xfe"\n',
+    ], ids=["first-line", "past-the-cookie-lines"])
+    def test_undecodable_file_is_a_parse_error(self, tmp_path, capsys, source):
         path = tmp_path / "bad.py"
-        path.write_text(self.BAD)
-        out = tmp_path / "report.json"
-        assert main([str(path), "--json", str(out)]) == 1
-        payload = json.loads(out.read_text())
-        assert payload["summary"]["total"] == 1
-        assert payload["summary"]["new"] == 1
-        (finding,) = payload["findings"]
-        assert finding["rule"] == "raw-random"
+        path.write_bytes(source)
+        violations, files_checked = lint_paths([tmp_path])
+        assert [(v.rule, v.path) for v in violations] == [
+            ("parse-error", str(path))
+        ]
+        assert files_checked == 1
+        assert main([str(tmp_path)]) == 1
+        assert f"{path}:1:0: [parse-error]" in capsys.readouterr().out
 
-    def test_baseline_gates_only_new_findings(self, tmp_path, capsys):
-        path = tmp_path / "bad.py"
-        path.write_text(self.BAD)
-        baseline = tmp_path / "baseline.json"
-        assert main([str(path), "--write-baseline", str(baseline)]) == 0
-        assert main([str(path), "--baseline", str(baseline)]) == 0
-        assert "baselined" in capsys.readouterr().out
-        # A new *distinct* finding must gate (same-fingerprint repeats of
-        # a baselined finding are tolerated by design).
-        path.write_text(self.BAD + "import random\nalso = random.random()\n")
-        assert main([str(path), "--baseline", str(baseline)]) == 1
+    def test_encoding_cookie_is_honoured(self, tmp_path):
+        path = tmp_path / "latin.py"
+        path.write_bytes(b'# -*- coding: latin-1 -*-\nx = "\xff\xfe"\n')
+        assert lint_paths([path]) == ([], 1)
 
-    def test_missing_baseline_is_usage_error(self, tmp_path, capsys):
-        path = tmp_path / "ok.py"
-        path.write_text("x = 1\n")
-        assert main([str(path), "--baseline", str(tmp_path / "nope.json")]) == 2
+    def test_paths_without_python_files_are_usage_error(self, tmp_path, capsys):
+        (tmp_path / "README.md").write_text("# not python\n")
+        assert main([str(tmp_path / "README.md")]) == 2
+        assert main([str(tmp_path)]) == 2
+        assert "no .py file" in capsys.readouterr().err
 
+
+class TestProductPath:
+    def test_fit_leaves_lint_unimported(self):
+        """Training imports no dev tooling: a short ``Session.fit`` in a
+        fresh interpreter leaves ``repro.tooling.lint`` unimported."""
+        script = textwrap.dedent("""
+            import sys
+            from repro.train import Session, SessionConfig
+            config = SessionConfig(
+                dataset="taobao10_sim", scale=0.3, model="mlp", seed=0,
+                train={"epochs": 1},
+            )
+            Session(config).fit()
+            loaded = sorted(m for m in sys.modules
+                            if m.startswith("repro.tooling.lint"))
+            print(loaded)
+            sys.exit(1 if loaded else 0)
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=300,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
