@@ -29,6 +29,14 @@ every path:
 * ``telemetry_clock`` — a clock read that feeds no result; the oracle
   must stay green under it.
 
+The 3-domain scenario draws one helper from two candidates, and the
+walk order of two single-digit str keys can coincide under both hash
+seeds, so its ``str_set_walk`` plant has to salt its keys.  A second,
+wider scenario (:class:`WideScenario`: six domains, ``sample_k=2``, its
+own literals in :data:`WIDE_PINNED`) makes every DR round walk five keys
+and keep two; it catches the plain, unsalted walk
+(``str_set_walk_unsalted``) on its ``children`` check.
+
 Run it with ``PYTHONPATH=src python -m pytest tests/test_determinism_oracle.py``.
 """
 
@@ -47,6 +55,10 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core import TrainConfig
+from repro.models import build_model
+from repro.online import EventStream, IncrementalTrainer, StreamConfig
+from tests.core.test_algorithm3_single_source import digest, space_digest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,11 +81,74 @@ PINNED = {
 }
 ENTRY_POINTS = tuple(PINNED)
 
+WIDE_PINNED = {
+    "train_space":
+        "e950783d02d803e1e960bbffc1c170e7116d0291d91fa425825fdd87eed54d7f",
+    "mamdr_fit":
+        "dffa927e05ccb2f57ac96181a86afa8219f9ee1bfa48a9f2c6dd576afb635b4f",
+    "update_local":
+        "a20cad810a299c65218e9d9beb74d1f9b9998229a25e482bc96ecb3a57df9e2d",
+}
+
+
+class WideScenario:
+    """Six domains and ``sample_k=2``: enough helper-set entropy for a
+    hash-order walk to show between the two children.  Built like the
+    3-domain scenario, with the attributes ``entry_points`` reads."""
+
+    SEED = 3
+    N_DOMAINS = 6
+    CONFIG = TrainConfig(epochs=1, batch_size=32, inner_steps=2, dr_steps=1,
+                         sample_k=2)
+
+    @staticmethod
+    def make_stream():
+        return EventStream(StreamConfig(
+            n_domains=WideScenario.N_DOMAINS, n_users=150, n_items=90,
+            latent_dim=6, n_windows=3, window_events=360, drift_rate=0.2,
+            seed=0,
+        ))
+
+    @staticmethod
+    def make_model(stream):
+        return build_model("mlp", stream.skeleton_dataset(), seed=0)
+
+    @staticmethod
+    def make_trainer(stream, **overrides):
+        trainer = IncrementalTrainer(
+            WideScenario.make_model(stream), WideScenario.N_DOMAINS,
+            WideScenario.CONFIG, replay_capacity=400, holdout_capacity=120,
+            n_users=stream.config.n_users, n_items=stream.config.n_items,
+            seed=WideScenario.SEED, **overrides,
+        )
+        trainer.ingest(stream.window(0))
+        trainer.ingest(stream.window(1))
+        return trainer
+
+    digest = staticmethod(digest)
+    space_digest = staticmethod(space_digest)
+
+    @staticmethod
+    def bank_digest(bank):
+        return WideScenario.digest(
+            [bank.default_state]
+            + [bank.state_for(d) for d in range(WideScenario.N_DOMAINS)])
+
+
+def load_scenario(name):
+    """``(scenario, pinned)``: the builders ``entry_points`` reads, and
+    the literals of the entry points this scenario runs."""
+    if name == "wide":
+        return WideScenario, WIDE_PINNED
+    import tests.core.test_algorithm3_single_source as alg3
+
+    return alg3, PINNED
+
 
 # ----------------------------------------------------------------------
 # The scenario's entry points (child side)
 # ----------------------------------------------------------------------
-def entry_points(alg3, stream, dataset):
+def entry_points(scenario, stream, dataset):
     """Name → zero-argument callable that trains from fresh objects and
     returns the SHA-256 digest of the resulting states."""
     from repro.core import MAMDR, train_space
@@ -81,30 +156,30 @@ def entry_points(alg3, stream, dataset):
     from repro.utils.seeding import spawn_rng
 
     def update(**overrides):
-        result = alg3.make_trainer(stream, **overrides).update(key=5)
-        return alg3.digest([result.default_state] + [
-            result.states[d] for d in range(alg3.N_DOMAINS)
+        result = scenario.make_trainer(stream, **overrides).update(key=5)
+        return scenario.digest([result.default_state] + [
+            result.states[d] for d in range(scenario.N_DOMAINS)
         ])
 
     def cluster(mode):
         bank = SimulatedCluster(n_workers=2, mode=mode).run(
-            alg3.cluster_factory(stream), dataset, alg3.CONFIG,
-            seed=alg3.SEED, use_dr=True,
+            scenario.cluster_factory(stream), dataset, scenario.CONFIG,
+            seed=scenario.SEED, use_dr=True,
         )
-        return alg3.bank_digest(bank)
+        return scenario.bank_digest(bank)
 
     return {
-        "train_space": lambda: alg3.space_digest(train_space(
-            alg3.make_model(stream), dataset, alg3.CONFIG,
-            spawn_rng(alg3.SEED, "scenario"),
+        "train_space": lambda: scenario.space_digest(train_space(
+            scenario.make_model(stream), dataset, scenario.CONFIG,
+            spawn_rng(scenario.SEED, "scenario"),
         )),
-        "mamdr_fit": lambda: alg3.bank_digest(MAMDR().fit(
-            alg3.make_model(stream), dataset, alg3.CONFIG, seed=alg3.SEED,
+        "mamdr_fit": lambda: scenario.bank_digest(MAMDR().fit(
+            scenario.make_model(stream), dataset, scenario.CONFIG, seed=scenario.SEED,
         )),
         "update_local": update,
         "update_cluster": lambda: update(
             backend="cluster", n_workers=2,
-            replica_factory=lambda: alg3.make_model(stream),
+            replica_factory=lambda: scenario.make_model(stream),
         ),
         "cluster_sync": lambda: cluster("sync"),
         "cluster_async": lambda: cluster("async"),
@@ -173,6 +248,14 @@ def plant_telemetry_clock(monkeypatch, regularization):
     monkeypatch.setattr(regularization, "sample_helper_domains", timed)
 
 
+def plant_str_set_walk_unsalted(monkeypatch, regularization):
+    def sample(rng, n_domains, target, k):
+        keys = {str(d) for d in range(n_domains) if d != target}
+        return [int(key) for key in keys][:k]
+
+    monkeypatch.setattr(regularization, "sample_helper_domains", sample)
+
+
 PLANTS = {
     "unseeded_rng": plant_unseeded_rng,
     "str_set_walk": plant_str_set_walk,
@@ -180,30 +263,36 @@ PLANTS = {
     "global_counter": plant_global_counter,
     "telemetry_clock": plant_telemetry_clock,
 }
+#: Plants run on the wide scenario only.
+WIDE_PLANTS = {
+    "str_set_walk_unsalted": plant_str_set_walk_unsalted,
+}
 
 
-def child_main(global_seed, segments):
-    """Run every entry point twice per segment; print one JSON line.
+def child_main(global_seed, segments, scenario_name="three"):
+    """Run every pinned entry point of a scenario twice per segment;
+    print one JSON line.
 
     A segment is ``"clean"`` or a plant name.  The clean segment runs
     first, in a process no plant has touched yet; each segment reseeds
     the global generators, so no segment inherits another's draws.
     """
     import repro.core.regularization as regularization
-    import tests.core.test_algorithm3_single_source as alg3
 
-    stream = alg3.make_stream()
-    dataset = alg3.make_trainer(stream).window_dataset()
+    scenario, pinned = load_scenario(scenario_name)
+    stream = scenario.make_stream()
+    dataset = scenario.make_trainer(stream).window_dataset()
     report = {}
     for segment in segments:
         random.seed(global_seed)
         np.random.seed(global_seed)
         with pytest.MonkeyPatch.context() as monkeypatch:
             if segment != "clean":
-                PLANTS[segment](monkeypatch, regularization)
-            digests = {}
-            for name, run in entry_points(alg3, stream, dataset).items():
-                digests[name] = [_run(run), _run(run)]
+                {**PLANTS, **WIDE_PLANTS}[segment](monkeypatch,
+                                                   regularization)
+            runs = entry_points(scenario, stream, dataset)
+            digests = {name: [_run(runs[name]), _run(runs[name])]
+                       for name in pinned}
         report[segment] = digests
     print(json.dumps(report))
 
@@ -218,18 +307,20 @@ def _run(entry_point):
 # ----------------------------------------------------------------------
 # The oracle (parent side)
 # ----------------------------------------------------------------------
-def run_children(segments):
+def run_children(segments, scenario_name="three"):
     """Both children's reports, run concurrently: ``[report_0, report_1]``."""
     src = str(Path(repro.__file__).resolve().parents[1])
     code = ("import sys, tests.test_determinism_oracle as oracle; "
-            "oracle.child_main(int(sys.argv[1]), sys.argv[2].split(','))")
+            "oracle.child_main(int(sys.argv[1]), sys.argv[2].split(','), "
+            "sys.argv[3])")
 
     def child(seeds):
         hash_seed, global_seed = seeds
         env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
                "PYTHONPATH": os.pathsep.join((src, str(REPO_ROOT)))}
         result = subprocess.run(
-            [sys.executable, "-c", code, str(global_seed), ",".join(segments)],
+            [sys.executable, "-c", code, str(global_seed), ",".join(segments),
+             scenario_name],
             cwd=REPO_ROOT, env=env, capture_output=True, text=True,
             timeout=300,
         )
@@ -240,13 +331,13 @@ def run_children(segments):
         return list(pool.map(child, CHILDREN))
 
 
-def oracle_failures(reports):
+def oracle_failures(reports, pinned=PINNED):
     """``(entry point, check, message)`` for every failed check.
 
     ``reports`` holds one ``{entry point: [first, second]}`` per child.
     """
     failures = []
-    for name in ENTRY_POINTS:
+    for name in pinned:
         runs = [report[name] for report in reports]
         for (hash_seed, global_seed), (first, second) in zip(CHILDREN, runs):
             where = f"PYTHONHASHSEED={hash_seed}, global seed {global_seed}"
@@ -254,10 +345,10 @@ def oracle_failures(reports):
                 failures.append((name, "repeat", (
                     f"{name} [repeat]: in-process runs differ under {where}: "
                     f"{first[:16]} != {second[:16]}")))
-            if first != PINNED[name]:
+            if first != pinned[name]:
                 failures.append((name, "pinned", (
                     f"{name} [pinned]: digest {first[:16]} under {where} "
-                    f"is not the pinned {PINNED[name][:16]}")))
+                    f"is not the pinned {pinned[name][:16]}")))
         if runs[0][0] != runs[1][0]:
             failures.append((name, "children", (
                 f"{name} [children]: the two children disagree: "
@@ -279,8 +370,8 @@ def test_entry_point_is_deterministic(reports, entry_point):
     assert not failed, "\n".join(failed)
 
 
-def checks_failed(reports, plant):
-    failures = oracle_failures(reports[plant])
+def checks_failed(reports, plant, pinned=PINNED):
+    failures = oracle_failures(reports[plant], pinned)
     return {(name, check) for name, check, _ in failures}
 
 
@@ -312,3 +403,29 @@ def test_global_counter_is_caught_at_the_first_call_site(reports):
 
 def test_telemetry_clock_read_is_not_a_failure(reports):
     assert oracle_failures(reports["telemetry_clock"]) == []
+
+
+# ----------------------------------------------------------------------
+# The wide scenario
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def wide_reports():
+    children = run_children(["clean", *WIDE_PLANTS], "wide")
+    return {segment: [child[segment] for child in children]
+            for segment in children[0]}
+
+
+@pytest.mark.parametrize("entry_point", tuple(WIDE_PINNED))
+def test_wide_entry_point_is_deterministic(wide_reports, entry_point):
+    failed = [message for name, _, message
+              in oracle_failures(wide_reports["clean"], WIDE_PINNED)
+              if name == entry_point]
+    assert not failed, "\n".join(failed)
+
+
+def test_unsalted_str_set_walk_is_caught_by_the_children_check(wide_reports):
+    failed = checks_failed(wide_reports, "str_set_walk_unsalted",
+                           WIDE_PINNED)
+    assert {name for name, check in failed if check == "children"} \
+        == set(WIDE_PINNED)
+    assert not {name for name, check in failed if check == "repeat"}
