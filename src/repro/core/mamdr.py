@@ -15,22 +15,22 @@ from ..frameworks.base import LearningFramework, StateBank
 from ..utils.seeding import spawn_rng
 from .negotiation import domain_negotiation_epoch, negotiate_shared
 from .param_space import DomainParameterSpace
-from .regularization import regularize_groups
+from .regularization import regularize_domains
 from .selection import BestTracker, PerDomainTracker, model_split_auc
 from .trainer import make_inner_optimizer
 
 __all__ = ["MAMDR", "mamdr_epoch", "train_space"]
 
 
-def mamdr_epoch(model, view, groups, space, config, rng, optimizer):
+def mamdr_epoch(model, dataset, space, config, rng, optimizer):
     """One epoch of Algorithm 3 on ``space``: DN on θ_S, then DR on every
-    group's delta.  ``view, groups`` are ``space.training_plan(dataset)``;
-    ``optimizer`` is DN's inner optimizer (DR builds its own per helper).
+    domain's delta.  ``optimizer`` is DN's inner optimizer (DR builds its
+    own per helper).
     """
     space.set_shared(
-        negotiate_shared(model, view, space.shared, config, rng, optimizer)
+        negotiate_shared(model, dataset, space.shared, config, rng, optimizer)
     )
-    regularize_groups(model, view, groups, space, config, rng)
+    regularize_domains(model, dataset, space, config, rng)
 
 
 def train_space(model, dataset, config, rng):
@@ -42,10 +42,9 @@ def train_space(model, dataset, config, rng):
     optimizer lives for the whole run.
     """
     space = DomainParameterSpace(model, dataset.n_domains)
-    view, groups = space.training_plan(dataset)
     optimizer = make_inner_optimizer(model, config)
     for _ in range(config.epochs):
-        mamdr_epoch(model, view, groups, space, config, rng, optimizer)
+        mamdr_epoch(model, dataset, space, config, rng, optimizer)
     return space
 
 
@@ -58,18 +57,13 @@ class MAMDR(LearningFramework):
     * ``use_dr=False`` drops the specific deltas entirely (serving uses
       θ_S for every domain).
 
-    ``plan`` lays out the parameter space (see
-    :class:`~repro.core.param_space.DomainParameterSpace`): ``None`` keeps
-    one delta per domain; a :class:`~repro.core.param_space.ClusterPlan`
-    from :func:`~repro.core.clustering.plan_clusters` gates the DN/DR
-    outer loops by delta-sharing group instead of by domain, which is
-    what makes 10k-50k domains tractable.
+    Training keeps one delta per domain in a
+    :class:`~repro.core.param_space.DomainParameterSpace`.
     """
 
-    def __init__(self, use_dn=True, use_dr=True, plan=None):
+    def __init__(self, use_dn=True, use_dr=True):
         self.use_dn = use_dn
         self.use_dr = use_dr
-        self.plan = plan
 
     @property
     def name(self):
@@ -83,11 +77,7 @@ class MAMDR(LearningFramework):
 
     def fit(self, model, dataset, config, seed=0):
         rng = spawn_rng(seed, "mamdr", dataset.name, self.use_dn, self.use_dr)
-        space = DomainParameterSpace(model, dataset.n_domains,
-                                     plan=self.plan)
-        # DN/DR iterate the plan's delta-sharing units: per domain for
-        # the identity plan, per cluster (+ heads) for a clustered one.
-        view, groups = space.training_plan(dataset)
+        space = DomainParameterSpace(model, dataset.n_domains)
         # With DR the deployment artifact is per-domain (Θ_i = θ_S + θ_i), so
         # each domain selects its best checkpoint independently, like the
         # other per-domain frameworks.  Without DR there is one shared state.
@@ -97,10 +87,10 @@ class MAMDR(LearningFramework):
 
         for _ in range(config.epochs):
             if self.use_dn and self.use_dr:
-                mamdr_epoch(model, view, groups, space, config, rng, optimizer)
+                mamdr_epoch(model, dataset, space, config, rng, optimizer)
             else:
                 # The ablations compose the two sweeps themselves.
-                self._ablated_epoch(model, view, groups, space, config, rng,
+                self._ablated_epoch(model, dataset, space, config, rng,
                                     optimizer)
             if self.use_dr:
                 per_domain_tracker.update_from_space(model, dataset, space)
@@ -120,18 +110,17 @@ class MAMDR(LearningFramework):
             default_state=best_shared,
         )
 
-    def _ablated_epoch(self, model, view, groups, space, config, rng,
-                       optimizer):
+    def _ablated_epoch(self, model, dataset, space, config, rng, optimizer):
         if self.use_dn:
             shared = negotiate_shared(
-                model, view, space.shared, config, rng, optimizer
+                model, dataset, space.shared, config, rng, optimizer
             )
         else:
             # Plain alternate training: β = 1, one pass, no outer loop.
             shared = domain_negotiation_epoch(
-                model, view, space.shared, config.updated(outer_lr=1.0), rng,
-                optimizer=optimizer,
+                model, dataset, space.shared, config.updated(outer_lr=1.0),
+                rng, optimizer=optimizer,
             )
         space.set_shared(shared)
         if self.use_dr:
-            regularize_groups(model, view, groups, space, config, rng)
+            regularize_domains(model, dataset, space, config, rng)

@@ -25,7 +25,7 @@ from .selection import PerDomainTracker
 from .trainer import make_inner_optimizer, train_steps
 
 __all__ = ["sample_helper_domains", "domain_regularization_round",
-           "regularize_groups", "DomainRegularization"]
+           "regularize_domains", "DomainRegularization"]
 
 
 def sample_helper_domains(rng, n_domains, target, k):
@@ -42,11 +42,8 @@ def domain_regularization_round(model, dataset, space, target, config, rng,
                                 split="train", delta=None):
     """Run one DR round for ``target`` and return the new delta θ_target.
 
-    ``target`` indexes a domain of ``dataset`` — which may be a cluster
-    *view* from ``space.training_plan``, in which case pass the group's
-    trainable delta via ``delta`` (the default reads the per-domain
-    delta, which is only correct when dataset domains and space domains
-    coincide).
+    ``target`` indexes a domain of ``dataset`` and of ``space``; ``delta``
+    is the round's starting θ_target (default: the space's).
     """
     # Own the accumulator once, then apply every helper's Eq. 8 step in
     # place — k meta-steps, one state allocation.
@@ -75,21 +72,16 @@ def domain_regularization_round(model, dataset, space, target, config, rng,
     return delta
 
 
-def regularize_groups(model, view, groups, space, config, rng):
-    """Algorithm 2's sweep: one DR round per delta-sharing group, in order.
+def regularize_domains(model, dataset, space, config, rng):
+    """Algorithm 2's sweep: one DR round per domain, in index order.
 
-    ``view, groups`` come from ``space.training_plan(dataset)`` —
-    ``groups[i]`` trains on ``view.domain(i)`` — so the identity plan
-    visits every domain and a clustered one every cluster and head.
-    Each group's new delta is written back to ``space`` before the next
-    group's round starts.
+    Each domain's new delta is written back to ``space`` before the next
+    domain's round starts.
     """
-    for position, group in enumerate(groups):
-        delta = domain_regularization_round(
-            model, view, space, position, config, rng,
-            delta=space.group_delta(group),
-        )
-        space.apply_delta(group, delta)
+    for domain in range(dataset.n_domains):
+        space.apply_delta(domain, domain_regularization_round(
+            model, dataset, space, domain, config, rng,
+        ))
 
 
 class DomainRegularization(LearningFramework):
@@ -104,17 +96,16 @@ class DomainRegularization(LearningFramework):
     def fit(self, model, dataset, config, seed=0):
         rng = spawn_rng(seed, "dr", dataset.name)
         space = DomainParameterSpace(model, dataset.n_domains)
-        view, groups = space.training_plan(dataset)
         tracker = PerDomainTracker(dataset.n_domains)
         optimizer = make_inner_optimizer(model, config)
 
         for _ in range(config.epochs):
             # Alternate training of the shared state (DN is ablated away).
             model.load_state_dict(space.shared)
-            alternate_pass(model, view, optimizer, rng, config)
+            alternate_pass(model, dataset, optimizer, rng, config)
             space.set_shared(model.state_dict())
 
-            regularize_groups(model, view, groups, space, config, rng)
+            regularize_domains(model, dataset, space, config, rng)
             tracker.update_from_space(model, dataset, space)
 
         return StateBank(model, tracker.best_states(),

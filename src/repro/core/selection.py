@@ -37,8 +37,8 @@ class BestTracker:
 
         ``snapshot`` may be a state dict or any structure of state dicts; it
         is deep-copied through :func:`clone_state` where applicable.  Pass
-        ``clone=False`` when the caller already owns a frozen copy (e.g. one
-        clone shared by a whole delta-sharing group).
+        ``clone=False`` when the caller already owns a private copy (e.g. a
+        freshly materialized combined state).
         """
         if score > self.best_score:
             self.best_score = score
@@ -80,16 +80,12 @@ def model_split_auc(model, dataset, split="val"):
 def space_split_auc(model, dataset, space, split="val"):
     """Mean per-domain AUC of a shared+specific parameter space.
 
-    Each domain is scored with its combined parameters ``Θ_i = θ_S + θ_i``;
-    materialization is gated by the space's delta-sharing groups (one
-    ``load_combined`` per group, not per domain).
+    Each domain is scored with its combined parameters ``Θ_i = θ_S + θ_i``.
     """
     total = 0.0
-    for group in space.groups():
-        space.load_combined(model, group.representative)
-        for domain_index in group.domains:
-            total += domain_split_auc(model, dataset.domain(domain_index),
-                                      split)
+    for domain in dataset:
+        space.load_combined(model, domain.index)
+        total += domain_split_auc(model, domain, split)
     return total / dataset.n_domains
 
 
@@ -107,23 +103,15 @@ class PerDomainTracker:
     def update_from_space(self, model, dataset, space, split="val"):
         """Score every domain's combined state this epoch and keep bests.
 
-        Gated by the space's delta-sharing groups: one materialization per
-        group, and at most one defensive clone per group shared by every
-        member whose score improved (a 10k-tail cluster that improves does
-        not cost 10k state copies).
+        ``space.combined`` allocates a fresh state, and the model loads a
+        copy of it, so a tracker keeps that state without cloning it.
         """
-        for group in space.groups():
-            combined = space.combined(group.representative)
+        for domain in dataset:
+            combined = space.combined(domain.index)
             model.load_state_dict(combined)
-            group_clone = None
-            for domain_index in group.domains:
-                domain = dataset.domain(domain_index)
-                score = domain_split_auc(model, domain, split)
-                tracker = self.trackers[domain_index]
-                if score > tracker.best_score:
-                    if group_clone is None:
-                        group_clone = clone_state(combined)
-                    tracker.update(score, group_clone, clone=False)
+            self.trackers[domain.index].update(
+                domain_split_auc(model, domain, split), combined, clone=False,
+            )
 
     def best_states(self):
         """``{domain: best combined state}`` for a StateBank."""

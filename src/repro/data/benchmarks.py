@@ -133,9 +133,9 @@ def taobao_sim(n_domains, scale=1.0, seed=0, total_samples=None,
 
     The single front door for the Taobao-10/20/30 presets (``n_domains``
     of 10/20/30 with everything else defaulted is bitwise-identical to
-    the historical builders) *and* for the 10k-50k domain-scaling runs,
-    which override ``total_samples`` / ``min_domain_samples`` to keep the
-    tail sparse instead of letting the per-domain floor multiply.
+    the historical builders) *and* for many-domain runs, which override
+    ``total_samples`` / ``min_domain_samples`` to keep the tail sparse
+    instead of letting the per-domain floor multiply.
     """
     if n_domains < 1:
         raise ValueError("need at least one domain")

@@ -33,7 +33,7 @@ sync/async trajectories are byte-identical to the pre-transport runtime.
 from __future__ import annotations
 
 from ..core.param_space import DomainParameterSpace
-from ..core.regularization import regularize_groups
+from ..core.regularization import regularize_domains
 from ..core.selection import BestTracker, PerDomainTracker, model_split_auc
 from ..frameworks.base import SingleModelBank, StateBank
 from ..utils import profiling
@@ -253,14 +253,12 @@ class SimulatedCluster:
         if not use_dr:
             return SingleModelBank(driver_model)
 
-        # Full MAMDR: DR for the specific deltas, run driver-side and
-        # gated by the space's delta-sharing groups.
+        # Full MAMDR: DR for the specific deltas, run driver-side.
         space = DomainParameterSpace(driver_model, dataset.n_domains)
         space.set_shared(shared)
-        view, groups = space.training_plan(dataset)
         dr_tracker = PerDomainTracker(dataset.n_domains)
         for _ in range(config.epochs):
-            regularize_groups(driver_model, view, groups, space, config, rng)
+            regularize_domains(driver_model, dataset, space, config, rng)
             dr_tracker.update_from_space(driver_model, dataset, space)
         return StateBank(driver_model, dr_tracker.best_states(),
                          default_state=space.shared)

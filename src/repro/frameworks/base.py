@@ -52,9 +52,9 @@ class StateBank(DomainModelBank):
 
     def __init__(self, model, domain_states, default_state=None):
         self.model = model
-        # Domains sharing a state object (a clustered space's tail, or the
-        # no-DR "same state everywhere" bank) share one clone — the bank
-        # costs one copy per *distinct* state, not per domain.
+        # Domains sharing a state object (the no-DR "same state
+        # everywhere" bank) share one clone — the bank costs one copy per
+        # *distinct* state, not per domain.
         memo = {}
         self.domain_states = {}
         for domain, state in domain_states.items():

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..core.mamdr import mamdr_epoch
 from ..core.param_space import DomainParameterSpace
-from ..core.regularization import regularize_groups
+from ..core.regularization import regularize_domains
 from ..core.trainer import make_inner_optimizer
 from ..data.schema import Domain, InteractionTable, MultiDomainDataset
 from ..data.splits import temporal_split
@@ -100,8 +100,7 @@ def space_from_snapshot(model, snapshot):
     as ``Θ_i − θ_S``, so ``space.combined(i)`` reproduces the served
     states exactly (the subtraction-then-addition round-trips bitwise for
     the zero-delta entries and is exact for entries published as
-    ``θ_S + θ_i`` from float64 states).  Domains published with a shared
-    state object (a clustered space's tail) compute the subtraction once.
+    ``θ_S + θ_i`` from float64 states).
     """
     if snapshot.default_state is None:
         raise ValueError(
@@ -109,14 +108,9 @@ def space_from_snapshot(model, snapshot):
         )
     space = DomainParameterSpace(model, n_domains=len(snapshot.states))
     space.set_shared(snapshot.default_state)
-    memo = {}
     for domain in snapshot.domains:
-        state = snapshot.state_for(domain)
-        delta = memo.get(id(state))
-        if delta is None:
-            delta = state_sub(state, snapshot.default_state)
-            memo[id(state)] = delta
-        space.set_delta(domain, delta)
+        space.apply_delta(domain, state_sub(snapshot.state_for(domain),
+                                            snapshot.default_state))
     return space
 
 
@@ -281,20 +275,19 @@ class IncrementalTrainer:
         same space, data and key produce a byte-identical update.
         """
         dataset = self.window_dataset()
-        view, groups = self.space.training_plan(dataset)
         rng = spawn_rng(self.seed, "online", "update", key)
         start = profiling.tick()
         if self.backend == "local":
             mamdr_epoch(
-                self.model, view, groups, self.space, self.config, rng,
+                self.model, dataset, self.space, self.config, rng,
                 make_inner_optimizer(self.model, self.config),
             )
         else:
             # Only the θ_S update moves to the cluster; DR stays
             # driver-side on the live space.
-            self.space.set_shared(self._update_shared_cluster(view, key))
-            regularize_groups(
-                self.model, view, groups, self.space, self.config, rng
+            self.space.set_shared(self._update_shared_cluster(dataset, key))
+            regularize_domains(
+                self.model, dataset, self.space, self.config, rng
             )
         profiling.tock("online.update", start)
         states = self.space.all_combined()

@@ -140,8 +140,8 @@ class ModelSnapshot:
 
         ``aliased_arrays``/``copied_arrays`` count per *domain* entry (the
         serving view); ``unique_states``/``copied_bytes`` deduplicate by
-        state object, so domains sharing a cluster-level state (the
-        clustered space's tail) are charged once.
+        state object, so domains that share one state object are charged
+        once.
         """
         aliased = copied = 0
         bytes_saved = copied_bytes = 0
@@ -200,22 +200,18 @@ class SnapshotStore:
 
         Copy-on-write against a frozen copy of ``θ_S``: zero-delta entries
         alias the shared array (see module docstring).  Materialization is
-        delegated to the space's ``cow_states``, which yields one state
-        per delta-sharing group — a clustered space with 10k tail domains
-        in 64 clusters publishes 64 states, and every member domain maps
-        to its group's (frozen, shared) state object.
+        delegated to the space's ``cow_states``, one state per domain.
         """
         shared = OrderedDict(
             (name, _freeze(value.copy())) for name, value in space.shared.items()
         )
-        states = {}
-        for domains, state in space.cow_states(shared):
-            frozen = OrderedDict(
+        states = {
+            domain: OrderedDict(
                 (name, value if value is shared[name] else _freeze(value))
                 for name, value in state.items()
             )
-            for domain in domains:
-                states[domain] = frozen
+            for domain, state in space.cow_states(shared).items()
+        }
         return self._install(states, shared, metadata)
 
     def publish_states(self, domain_states, default_state=None,

@@ -5,7 +5,7 @@ from the two primitives ``domain_negotiation_epoch`` /
 ``domain_regularization_round`` and nothing else.  One seeded
 mini-scenario (two stream windows folded into a window dataset) is
 trained through every call site of ``negotiate_shared`` /
-``regularize_groups`` / ``mamdr_epoch`` / ``train_space`` and through the
+``regularize_domains`` / ``mamdr_epoch`` / ``train_space`` and through the
 reference, each under the call site's own RNG namespace and optimizer
 lifetime, and the SHA-256 over the resulting state bytes must agree.
 """
@@ -100,38 +100,35 @@ def bank_digest(bank):
 # ----------------------------------------------------------------------
 # The reference: Algorithm 3 from the two primitives
 # ----------------------------------------------------------------------
-def reference_dr_sweep(model, view, groups, space, config, rng):
-    for position, group in enumerate(groups):
+def reference_dr_sweep(model, dataset, space, config, rng):
+    for domain in range(dataset.n_domains):
         delta = domain_regularization_round(
-            model, view, space, position, config, rng,
-            delta=space.group_delta(group),
+            model, dataset, space, domain, config, rng,
         )
-        space.apply_delta(group, delta)
+        space.apply_delta(domain, delta)
 
 
-def reference_epoch(model, view, groups, space, config, rng, optimizer,
+def reference_epoch(model, dataset, space, config, rng, optimizer,
                     use_dn=True, use_dr=True):
     if use_dn:
         shared = space.shared
         for _ in range(config.dn_rounds):
             shared = domain_negotiation_epoch(
-                model, view, shared, config, rng, optimizer=optimizer
+                model, dataset, shared, config, rng, optimizer=optimizer
             )
     else:
         shared = domain_negotiation_epoch(
-            model, view, space.shared, config.updated(outer_lr=1.0), rng,
+            model, dataset, space.shared, config.updated(outer_lr=1.0), rng,
             optimizer=optimizer,
         )
     space.set_shared(shared)
     if use_dr:
-        reference_dr_sweep(model, view, groups, space, config, rng)
+        reference_dr_sweep(model, dataset, space, config, rng)
 
 
 def fresh_space(stream, dataset):
     model = make_model(stream)
-    space = DomainParameterSpace(model, dataset.n_domains)
-    view, groups = space.training_plan(dataset)
-    return model, space, view, groups
+    return model, DomainParameterSpace(model, dataset.n_domains)
 
 
 # ----------------------------------------------------------------------
@@ -141,12 +138,11 @@ def test_train_space(stream, dataset):
     space = train_space(make_model(stream), dataset, CONFIG,
                         spawn_rng(SEED, "scenario"))
 
-    model, reference, view, groups = fresh_space(stream, dataset)
+    model, reference = fresh_space(stream, dataset)
     rng = spawn_rng(SEED, "scenario")
     optimizer = make_inner_optimizer(model, CONFIG)
     for _ in range(CONFIG.epochs):
-        reference_epoch(model, view, groups, reference, CONFIG, rng,
-                        optimizer)
+        reference_epoch(model, dataset, reference, CONFIG, rng, optimizer)
     assert space_digest(space) == space_digest(reference)
 
 
@@ -158,12 +154,12 @@ def test_mamdr_fit(stream, dataset, use_dn, use_dr):
         make_model(stream), dataset, CONFIG, seed=SEED
     )
 
-    model, space, view, groups = fresh_space(stream, dataset)
+    model, space = fresh_space(stream, dataset)
     rng = spawn_rng(SEED, "mamdr", dataset.name, use_dn, use_dr)
     optimizer = make_inner_optimizer(model, CONFIG)
     per_domain, shared_best = PerDomainTracker(N_DOMAINS), BestTracker()
     for _ in range(CONFIG.epochs):
-        reference_epoch(model, view, groups, space, CONFIG, rng, optimizer,
+        reference_epoch(model, dataset, space, CONFIG, rng, optimizer,
                         use_dn=use_dn, use_dr=use_dr)
         if use_dr:
             per_domain.update_from_space(model, dataset, space)
@@ -201,20 +197,20 @@ def test_domain_regularization_fit(stream, dataset):
     bank = DomainRegularization().fit(make_model(stream), dataset, CONFIG,
                                       seed=SEED)
 
-    model, space, view, groups = fresh_space(stream, dataset)
+    model, space = fresh_space(stream, dataset)
     rng = spawn_rng(SEED, "dr", dataset.name)
     optimizer = make_inner_optimizer(model, CONFIG)
     tracker = PerDomainTracker(N_DOMAINS)
     for _ in range(CONFIG.epochs):
         # θ_S by plain alternate training: the live end state, no Eq. 3.
         model.load_state_dict(space.shared)
-        order = list(range(view.n_domains))
+        order = list(range(dataset.n_domains))
         rng.shuffle(order)
         for index in order:
-            train_steps(model, view.domain(index).train, index, optimizer,
+            train_steps(model, dataset.domain(index).train, index, optimizer,
                         rng, CONFIG.batch_size, CONFIG.inner_steps)
         space.set_shared(model.state_dict())
-        reference_dr_sweep(model, view, groups, space, CONFIG, rng)
+        reference_dr_sweep(model, dataset, space, CONFIG, rng)
         tracker.update_from_space(model, dataset, space)
     expected = [space.shared] + [
         tracker.best_states()[d] for d in range(N_DOMAINS)
@@ -225,8 +221,8 @@ def test_domain_regularization_fit(stream, dataset):
 def test_incremental_trainer_local(stream, dataset):
     update = make_trainer(stream).update(key=5)
 
-    model, space, view, groups = fresh_space(stream, dataset)
-    reference_epoch(model, view, groups, space, CONFIG,
+    model, space = fresh_space(stream, dataset)
+    reference_epoch(model, dataset, space, CONFIG,
                     spawn_rng(SEED, "online", "update", 5),
                     make_inner_optimizer(model, CONFIG))
     assert digest([update.default_state]
@@ -246,16 +242,16 @@ def test_incremental_trainer_cluster(stream, dataset):
 
     # Only θ_S moves to the cluster (dn_rounds bulk-synchronous rounds);
     # the DR sweep is the same driver-side loop under the update's RNG.
-    model, space, view, groups = fresh_space(stream, dataset)
+    model, space = fresh_space(stream, dataset)
     shared = SimulatedCluster(
         n_workers=2, mode="sync", heartbeat_timeout=None,
     ).run(
-        cluster_factory(stream), view,
+        cluster_factory(stream), dataset,
         CONFIG.updated(epochs=CONFIG.dn_rounds),
         seed=stable_seed(SEED, "online", "cluster", 5),
     ).model.state_dict()
     space.set_shared(shared)
-    reference_dr_sweep(model, view, groups, space, CONFIG,
+    reference_dr_sweep(model, dataset, space, CONFIG,
                        spawn_rng(SEED, "online", "update", 5))
     assert digest([update.default_state]
                   + [update.states[d] for d in range(N_DOMAINS)]) \
@@ -276,10 +272,9 @@ def test_cluster_run_with_dr(stream, dataset):
     )
     model = shared_bank.model
     space = DomainParameterSpace(model, dataset.n_domains)
-    view, groups = space.training_plan(dataset)
     tracker = PerDomainTracker(N_DOMAINS)
     for _ in range(CONFIG.epochs):
-        reference_dr_sweep(model, view, groups, space, CONFIG, rng)
+        reference_dr_sweep(model, dataset, space, CONFIG, rng)
         tracker.update_from_space(model, dataset, space)
     expected = [space.shared] + [
         tracker.best_states()[d] for d in range(N_DOMAINS)

@@ -22,7 +22,7 @@ def test_combined_is_sum(tiny_dataset):
     model = build_model("mlp", tiny_dataset, seed=0)
     space = DomainParameterSpace(model, 2)
     delta = state_scale(space.shared, 0.5)
-    space.set_delta(1, delta)
+    space.apply_delta(1, delta)
     combined = space.combined(1)
     expected = state_scale(space.shared, 1.5)
     assert state_allclose(combined, expected)
@@ -34,7 +34,7 @@ def test_load_and_extract_round_trip(tiny_dataset):
     model = build_model("mlp", tiny_dataset, seed=0)
     space = DomainParameterSpace(model, 2)
     delta = state_scale(space.shared, 0.1)
-    space.set_delta(0, delta)
+    space.apply_delta(0, delta)
     space.load_combined(model, 0)
     extracted = space.extract_delta(model)
     assert state_allclose(extracted, delta, atol=1e-12)

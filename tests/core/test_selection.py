@@ -64,7 +64,7 @@ def test_space_split_auc_uses_combined(tiny_dataset):
     baseline = space_split_auc(model, tiny_dataset, space)
     assert 0.0 <= baseline <= 1.0
     # destroying domain 0's delta only changes domain 0's contribution
-    space.set_delta(0, state_scale(space.shared, -1.0))  # Θ_0 becomes zero
+    space.apply_delta(0, state_scale(space.shared, -1.0))  # Θ_0 becomes zero
     ruined = space_split_auc(model, tiny_dataset, space)
     assert ruined != baseline
 

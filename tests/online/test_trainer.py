@@ -227,7 +227,7 @@ def test_warm_start_parity_with_offline_step(stream, skeleton, online_config):
         )
     space.set_shared(shared)
     for domain in range(stream.config.n_domains):
-        space.set_delta(domain, domain_regularization_round(
+        space.apply_delta(domain, domain_regularization_round(
             model, dataset, space, domain, online_config, rng,
         ))
 

@@ -25,7 +25,7 @@ def make_space(model, n_domains, seed=7, scale=0.05):
     rng = spawn_rng(seed, "serving-parity", "deltas")
     space = DomainParameterSpace(model, n_domains)
     for domain in range(n_domains):
-        space.set_delta(domain, {
+        space.apply_delta(domain, {
             name: rng.normal(scale=scale, size=value.shape)
             for name, value in space.shared.items()
         })
@@ -102,7 +102,7 @@ def test_parity_immediately_after_hot_reload(dataset):
 
     # Training advanced: new shared weights and deltas, hot reload.
     space.set_shared({n: v + 0.125 for n, v in space.shared.items()})
-    space.set_delta(2, {
+    space.apply_delta(2, {
         n: v * 2.0 for n, v in space.delta(2).items()
     })
     store.publish(space)

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core import DomainParameterSpace
+from repro.data import sample_batch
 from repro.models import build_model
 from repro.data.columnar import SerializationError
-from repro.nn.state import state_allclose, zeros_like_state
-from repro.serving import SnapshotStore
+from repro.nn.state import state_allclose, state_scale, zeros_like_state
+from repro.serving import Predictor, SnapshotStore
+from repro.utils.seeding import spawn_rng
 
 from tests.conftest import make_tiny_dataset
 
@@ -30,7 +32,7 @@ def space(dataset):
     delta = zeros_like_state(space.shared)
     name = next(n for n in delta if "body" in n)
     delta[name] = delta[name] + 0.25
-    space.set_delta(1, delta)
+    space.apply_delta(1, delta)
     return space
 
 
@@ -105,6 +107,56 @@ def test_rollback_and_retention(space):
         store.get(1)
     store.rollback(2)
     assert store.version == 2
+
+
+def test_copied_bytes_charge_each_unique_state_once(space):
+    snapshot = SnapshotStore().publish(space)
+    stats = snapshot.cow_stats()
+    shared = snapshot.default_state
+    # expected: every non-aliased array of every unique state, once
+    unique = {
+        id(value): value.nbytes
+        for domain in range(space.n_domains)
+        for name, value in snapshot.state_for(domain).items()
+        if value is not shared[name]
+    }
+    assert stats["copied_bytes"] == sum(unique.values()) > 0
+    assert stats["unique_states"] == space.n_domains
+
+
+def test_hot_swap_and_rollback_through_predictor(space, dataset):
+    store = SnapshotStore()
+    predictor = Predictor(build_model("mlp", dataset, seed=0), store)
+    first = store.publish(space)
+    users = np.array([0, 1, 2], dtype=np.int64)
+    items = np.array([0, 1, 2], dtype=np.int64)
+    before = predictor.predict_batch(users, items, 1)
+
+    # training advances domain 1's delta; republish = hot swap
+    space.apply_delta(1, state_scale(space.shared, 0.9))
+    second = store.publish(space)
+    assert second.version == first.version + 1
+    after = predictor.predict_batch(users, items, 1)
+    assert not np.array_equal(before, after)
+
+    # rollback restores the old scores bit for bit
+    store.rollback(first.version)
+    rolled = predictor.predict_batch(users, items, 1)
+    np.testing.assert_array_equal(rolled, before)
+
+
+def test_serving_parity_with_offline_materialization(space, dataset):
+    store = SnapshotStore()
+    predictor = Predictor(build_model("mlp", dataset, seed=0), store)
+    store.publish(space)
+    probe = build_model("mlp", dataset, seed=0)
+    rng = spawn_rng(0, "snapshot-parity")
+    for domain in range(dataset.n_domains):
+        table = dataset.domain(domain).test
+        batch = sample_batch(table, domain, min(16, len(table)), rng)
+        served = predictor.predict_batch(batch.users, batch.items, domain)
+        space.load_combined(probe, domain)
+        np.testing.assert_array_equal(served, probe.predict(batch))
 
 
 def test_current_before_publish_raises():

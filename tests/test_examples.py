@@ -31,7 +31,6 @@ def test_expected_examples_present():
         "sparse_domains",
         "distributed_training",
         "framework_shootout",
-        "onboard_new_domain",
     } <= names
 
 

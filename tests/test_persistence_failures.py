@@ -52,7 +52,7 @@ class SnapshotCase:
         delta = {n: np.zeros_like(v) for n, v in self.base.items()}
         name = next(n for n in delta if "body" in n)
         delta[name] += 0.25
-        self.space.set_delta(1, delta)
+        self.space.apply_delta(1, delta)
         self.store = SnapshotStore()
         self.path = tmp_path / "snapshot.rp"
         self.generations = {}
