@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,43 @@ def test_trace_is_a_pure_function_of_its_config():
     assert np.array_equal(first.users, second.users)
     assert np.array_equal(first.items, second.items)
     assert np.array_equal(first.domains, second.domains)
+
+
+def trace_digest(trace):
+    digest = hashlib.sha256()
+    for column in (trace.times, trace.users, trace.items, trace.domains):
+        digest.update(np.ascontiguousarray(column).tobytes())
+    return digest.hexdigest()
+
+
+def serve_lane_config(n_domains, n_users, n_items, mean_qps):
+    """The serve lane's trace shape (``benchmarks/e2e/serve_lane.py``)."""
+    return TraceConfig(
+        name="e2e_serve", n_domains=n_domains, n_users=n_users,
+        n_items=n_items, duration=1.0, mean_qps=mean_qps,
+        slot_seconds=0.05, seed=0,
+    )
+
+
+@pytest.mark.parametrize("config, length, expected", [
+    # serve lane at the benchmark's default and smoke sizes
+    (serve_lane_config(32, 4000, 1000, 40000.0), 39815,
+     "da2836e030ef3ce078c2f230d44952726d7985114890de205305b9b9e98acde5"),
+    (serve_lane_config(6, 400, 200, 10000.0), 9906,
+     "25828c9ae93d12b8ab2f4c8a4ed9db525d49ee9a64388dd97cddc0e16dcdb784"),
+    # the pool-parity trace (test_pool_parity.py)
+    (TraceConfig(name="parity", n_domains=3, n_users=400, n_items=200,
+                 duration=0.2, mean_qps=2000.0, slot_seconds=0.01, seed=11),
+     424,
+     "25879e5b5ff8fc4c2b5ea2c3b1e2e3054b81aaef57e0074c1114efc7c2359dbb"),
+    (TraceConfig(), 2035,
+     "ae82814391b1cc7ee586bbbb7160d5a7d3bc4d3b9a9eaba1509852bd7de78f7b"),
+], ids=["serve-default", "serve-smoke", "pool-parity", "defaults"])
+def test_trace_bytes_are_pinned(config, length, expected):
+    """The traces the benchmark and the pool tests replay, byte for byte."""
+    trace = generate_trace(config)
+    assert len(trace) == length
+    assert trace_digest(trace) == expected
 
 
 def test_different_seeds_give_different_traffic():
