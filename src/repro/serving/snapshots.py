@@ -138,17 +138,14 @@ class ModelSnapshot:
     def cow_stats(self):
         """How much publishing saved: aliased vs. copied per-domain arrays.
 
-        ``aliased_arrays``/``copied_arrays`` count per *domain* entry (the
-        serving view); ``unique_states``/``copied_bytes`` deduplicate by
-        state object, so domains that share one state object are charged
-        once.
+        Every producer (``publish``, ``publish_states``, ``load`` and
+        ``SharedSnapshotArena.attach``) builds one fresh state per domain,
+        so ``unique_states`` is the number of domains and ``copied_bytes``
+        charges every array that does not alias :attr:`default_state`.
         """
         aliased = copied = 0
         bytes_saved = copied_bytes = 0
-        seen_states = set()
         for state in self.states.values():
-            first_visit = id(state) not in seen_states
-            seen_states.add(id(state))
             for name, value in state.items():
                 base = (
                     self.default_state.get(name)
@@ -159,13 +156,12 @@ class ModelSnapshot:
                     bytes_saved += value.nbytes
                 else:
                     copied += 1
-                    if first_visit:
-                        copied_bytes += value.nbytes
+                    copied_bytes += value.nbytes
         return {
             "aliased_arrays": aliased,
             "copied_arrays": copied,
             "bytes_saved": bytes_saved,
-            "unique_states": len(seen_states),
+            "unique_states": len(self.states),
             "copied_bytes": copied_bytes,
         }
 

@@ -5,38 +5,29 @@ What happens when *production traffic* hits the serving path
 (:mod:`repro.online`):
 
 * :mod:`repro.traffic.tracegen` — seeded, replayable traffic traces:
-  Zipf domain mix, diurnal rate curves, Poisson/bursty arrivals, plus an
+  a Zipf domain mix with Poisson arrivals at a flat rate, plus an
   adapter replaying the drifted :mod:`repro.online.stream` as a trace;
 * :mod:`repro.traffic.pool` — an N-process predictor pool attached
   read-only to one shared-memory snapshot arena (COW structure intact),
-  with generation-tagged hot reload under load;
+  with generation-tagged hot reload under load and the
+  pool/single-process bit-parity check across that reload;
 * :mod:`repro.traffic.admission` — per-domain SLOs, bounded queues and
-  load-shedding policies with conservation-checked accounting;
-* :mod:`repro.traffic.replay` — a seeded virtual open-loop replay
-  (saturation knee, overload shedding) and the pool/single-process
-  bit-parity check across a hot reload.
+  load-shedding policies with conservation-checked accounting.
+
+The open-loop replay itself — a trace offered on the wall clock through
+the admission controller into the pool — is the benchmark's loop lane
+(``benchmarks/e2e/loop_lane.py``).
 """
 
 from .admission import AdmissionConfig, AdmissionController, DomainSLO
-from .pool import PoolError, PredictorPool, fork_available
-from .replay import (
-    ServiceTimeModel,
-    check_pool_parity,
-    find_knee,
-    simulate_replay,
-    sweep_saturation,
-)
+from .pool import PoolError, PredictorPool, check_pool_parity, fork_available
 from .tracegen import Trace, TraceConfig, generate_trace, trace_from_stream
 
 __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "DomainSLO",
-    "ServiceTimeModel",
     "check_pool_parity",
-    "find_knee",
-    "simulate_replay",
-    "sweep_saturation",
     "PoolError",
     "PredictorPool",
     "fork_available",

@@ -130,8 +130,8 @@ class AdmissionController:
         """Admit request ``index`` for ``domain`` or shed it.
 
         Returns ``True`` when the request entered a queue.  ``now`` is
-        whatever clock the caller replays on (wall or virtual); the
-        controller only ever compares durations against it.
+        whatever clock the caller replays on; the controller only ever
+        compares durations against it.
         """
         domain = int(domain)
         self.offered += 1
@@ -184,23 +184,6 @@ class AdmissionController:
     def queued(self):
         """Requests currently admitted but not yet dispatched."""
         return sum(len(queue) for queue in self._queues.values())
-
-    def oldest_wait(self, now):
-        """Age of the oldest queued request (0 when empty)."""
-        head = self.head_arrival()
-        if head is None:
-            return 0.0
-        return now - head
-
-    def head_arrival(self):
-        """Arrival time of the oldest queued request (None when empty).
-
-        The replay simulator uses this to advance its virtual clock: an
-        idle worker's next possible dispatch instant is
-        ``max(worker_free, head_arrival())``.
-        """
-        arrivals = [q[0].arrival for q in self._queues.values() if q]
-        return min(arrivals) if arrivals else None
 
     # ------------------------------------------------------------------
     # Policy internals

@@ -26,6 +26,11 @@ a broadcast), one shared result queue (its feeder thread keeps workers
 from blocking on a full pipe), numpy batches pickled across.  Per-batch
 IPC cost is amortized by micro-batching upstream — callers dispatch
 admission-controlled per-domain batches, not single rows.
+
+:func:`check_pool_parity` is the pool's acceptance check: it publishes
+successive generations mid-trace and compares every pooled response
+bitwise against a single-process :class:`Predictor` pinned to the
+generation the response reports.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ from ..serving.service import Predictor
 from ..serving.snapshots import SharedSnapshotArena
 from ..utils import profiling
 
-__all__ = ["PoolError", "PredictorPool", "fork_available"]
+__all__ = ["PoolError", "PredictorPool", "check_pool_parity",
+           "fork_available"]
 
 #: how long a blocking result wait sleeps before checking worker liveness.
 _LIVENESS_SLICE_S = 0.1
@@ -427,3 +433,88 @@ class PredictorPool:
             "pids": self.worker_pids(),
             "parent_pid": os.getpid(),
         }
+
+
+# ----------------------------------------------------------------------
+# Pool parity
+# ----------------------------------------------------------------------
+def _batched(trace, max_batch):
+    """Per-domain batches in arrival order (closed-loop dispatch plan)."""
+    pending = {}
+    order = []
+    batches = []
+    for position in range(len(trace)):
+        domain = int(trace.domains[position])
+        if domain not in pending:
+            pending[domain] = []
+            order.append(domain)
+        pending[domain].append(position)
+        if len(pending[domain]) >= max_batch:
+            batches.append((domain, pending.pop(domain)))
+            order.remove(domain)
+    for domain in order:
+        batches.append((domain, pending[domain]))
+    return batches
+
+
+def check_pool_parity(pool, model, snapshots, trace, max_batch=32):
+    """Bit-parity of pooled scoring across a hot reload under load.
+
+    ``snapshots`` are published to the pool as successive generations;
+    the trace's batches are split evenly across them, with each reload
+    after the *n*-th chunk issued ``wait=False`` — in-band, while that
+    chunk's batches are still queued at the workers.  Every response is
+    then compared bitwise against a fresh single-process
+    :class:`Predictor` pinned to the generation the response reports.
+    """
+    batches = _batched(trace, max_batch)
+    chunk = -(-len(batches) // len(snapshots))
+
+    class _Pinned:
+        def __init__(self, snapshot):
+            self._snapshot = snapshot
+
+        def current(self):
+            return self._snapshot
+
+    references = {}
+    results = []
+    for stage, snapshot in enumerate(snapshots):
+        generation = pool.generation + 1
+        references[generation] = Predictor(model, _Pinned(snapshot))
+        # First publish waits (workers must attach before scoring);
+        # later ones ride the queues behind in-flight batches.
+        results.extend(pool.publish(snapshot, wait=stage == 0))
+        for batch_id in range(stage * chunk, min((stage + 1) * chunk,
+                                                 len(batches))):
+            domain, positions = batches[batch_id]
+            pool.submit(
+                batch_id, domain,
+                trace.users[positions], trace.items[positions],
+            )
+    results.extend(pool.drain())
+
+    generations_seen = set()
+    mismatches = 0
+    for _, _, batch_id, generation, version, scores in results:
+        generations_seen.add(generation)
+        domain, positions = batches[batch_id]
+        reference = references[generation]
+        # The reference predictors share one model; a predictor's
+        # loaded-state memo cannot see the others clobbering it, so force
+        # a full reload before every reference score.
+        reference.invalidate_caches()
+        expected = reference.predict_batch(
+            trace.users[positions], trace.items[positions], domain
+        )
+        if version != reference._store.current().version:
+            mismatches += 1
+        elif not np.array_equal(scores, np.asarray(expected)):
+            mismatches += 1
+    return {
+        "ok": mismatches == 0 and generations_seen == set(references),
+        "batches": len(results),
+        "mismatches": mismatches,
+        "generations": sorted(generations_seen),
+    }
+

@@ -2,7 +2,7 @@
 
 A :class:`Trace` is what the serving tier actually faces: a totally
 ordered sequence of arrival-timestamped ``(t, user, item, domain)``
-requests.  The generator models the three properties of Taobao-style
+requests.  :func:`generate_trace` models the property of Taobao-style
 mixed-domain traffic that a uniform synthetic loop cannot (Section IV-E
 serves hundreds of domains whose request mix is anything but flat):
 
@@ -11,18 +11,13 @@ serves hundreds of domains whose request mix is anything but flat):
   analogue of Tables II–IV's imbalance); user and item ids are
   heavy-tailed the same way, which is the regime the serve-side static
   cache tier is built for.
-* **Diurnal rate curve** — the instantaneous arrival rate follows a
-  sinusoidal day curve around the configured mean, so a trace has genuine
-  peak and trough load, not one flat rate.
-* **Poisson / burst arrival** — within the rate curve, arrivals are an
-  inhomogeneous Poisson process; ``arrival="bursty"`` modulates the rate
-  with a seeded two-state (quiet/burst) Markov chain, producing the
-  short load spikes that admission control exists to absorb.
+* **Poisson arrivals** — at the flat rate ``mean_qps``: each
+  ``slot_seconds`` slot draws a Poisson count and spreads it uniformly
+  over the slot.
 
 Everything is derived from ``spawn_rng(seed, name, ...)`` streams, so a
-trace is a pure function of its config: replays, sweeps at other offered
-rates (:meth:`Trace.at_rate` rescales time, keeping the request sequence
-identical), and multi-process benchmarks all see byte-identical traffic.
+trace is a pure function of its config: replays and multi-process
+benchmarks all see byte-identical traffic.
 
 :func:`trace_from_stream` adapts the drifted click stream of
 :mod:`repro.online.stream` into a serving trace: event order, domain mix
@@ -62,13 +57,7 @@ class TraceConfig:
     domain_skew: float = 1.1         # Zipf exponent over domain ranks
     user_skew: float = 1.05
     item_skew: float = 1.05
-    diurnal_amplitude: float = 0.0   # 0 = flat; 0.5 = ±50% around the mean
-    diurnal_period: float = 1.0      # seconds per simulated "day"
-    arrival: str = "poisson"         # "poisson" | "bursty"
-    burst_multiplier: float = 6.0    # burst-state rate vs quiet-state rate
-    burst_fraction: float = 0.1      # long-run fraction of time in burst
-    burst_mean_length: float = 0.02  # mean burst dwell in seconds
-    slot_seconds: float = 0.005      # rate-curve discretization
+    slot_seconds: float = 0.005      # Poisson-count slot width
     seed: int = 0
 
     def __post_init__(self):
@@ -76,19 +65,8 @@ class TraceConfig:
             raise ValueError("need at least one domain")
         if self.duration <= 0 or self.mean_qps <= 0:
             raise ValueError("duration and mean_qps must be positive")
-        if self.arrival not in ("poisson", "bursty"):
-            raise ValueError(f"unknown arrival process {self.arrival!r}")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ValueError("diurnal_amplitude must be in [0, 1)")
         if self.slot_seconds <= 0 or self.slot_seconds > self.duration:
             raise ValueError("slot_seconds must be in (0, duration]")
-        if self.arrival == "bursty":
-            if not 0.0 < self.burst_fraction < 1.0:
-                raise ValueError("burst_fraction must be in (0, 1)")
-            if self.burst_multiplier <= 1.0:
-                raise ValueError("burst_multiplier must exceed 1")
-            if self.burst_mean_length < self.slot_seconds:
-                raise ValueError("burst_mean_length must cover >= one slot")
 
 
 @dataclass(frozen=True)
@@ -116,21 +94,6 @@ class Trace:
             return 0.0
         return len(self.times) / self.horizon
 
-    def at_rate(self, mean_qps):
-        """The same request sequence, re-paced to a new offered rate.
-
-        Timestamps (and the horizon) scale by ``offered/new``, so a load
-        sweep replays *identical* work at each offered point — latency
-        differences are attributable to load alone, not to a different
-        request mix.
-        """
-        if mean_qps <= 0:
-            raise ValueError("mean_qps must be positive")
-        factor = self.offered_qps / float(mean_qps)
-        return replace(
-            self, times=self.times * factor, horizon=self.horizon * factor
-        )
-
     def head(self, n):
         """The first ``n`` requests (their original timestamps)."""
         n = min(int(n), len(self.times))
@@ -145,52 +108,16 @@ class Trace:
         counts = np.bincount(self.domains, minlength=self.n_domains)
         return {int(d): int(c) for d, c in enumerate(counts)}
 
-    def interarrival_seconds(self):
-        return np.diff(self.times)
-
-
-def _slot_rates(config):
-    """Per-slot arrival rates (requests/second), normalized to the mean.
-
-    The diurnal curve and the burst chain multiply into one rate profile;
-    both are normalized so the *realized* time-average matches
-    ``mean_qps`` — "offered load" stays an honest axis on the bench plots.
-    """
-    n_slots = max(1, int(np.ceil(config.duration / config.slot_seconds)))
-    mids = (np.arange(n_slots) + 0.5) * config.slot_seconds
-    shape = 1.0 + config.diurnal_amplitude * np.sin(
-        2.0 * np.pi * mids / config.diurnal_period
-    )
-    if config.arrival == "bursty":
-        rng = spawn_rng(config.seed, config.name, "bursts")
-        # Two-state Markov chain sampled per slot; dwell times are
-        # geometric with the configured mean burst length and a quiet
-        # length chosen so the long-run burst occupancy matches
-        # burst_fraction.
-        p_exit_burst = config.slot_seconds / config.burst_mean_length
-        quiet_mean = config.burst_mean_length * (
-            (1.0 - config.burst_fraction) / config.burst_fraction
-        )
-        p_enter_burst = config.slot_seconds / quiet_mean
-        state = rng.random() < config.burst_fraction
-        modulation = np.empty(n_slots)
-        for slot in range(n_slots):
-            modulation[slot] = config.burst_multiplier if state else 1.0
-            flip = p_exit_burst if state else p_enter_burst
-            if rng.random() < min(1.0, flip):
-                state = not state
-        shape = shape * modulation
-    shape = shape / shape.mean()
-    return shape * config.mean_qps
-
 
 def generate_trace(config):
     """Materialize the trace a :class:`TraceConfig` describes."""
-    rates = _slot_rates(config)
+    n_slots = max(1, int(np.ceil(config.duration / config.slot_seconds)))
     rng = spawn_rng(config.seed, config.name, "arrivals")
-    counts = rng.poisson(rates * config.slot_seconds)
+    counts = rng.poisson(
+        np.full(n_slots, config.mean_qps * config.slot_seconds)
+    )
     total = int(counts.sum())
-    starts = np.arange(len(rates)) * config.slot_seconds
+    starts = np.arange(n_slots) * config.slot_seconds
     times = np.repeat(starts, counts) + np.concatenate(
         [np.sort(rng.random(int(c))) * config.slot_seconds for c in counts]
     ) if total else np.empty(0)

@@ -141,16 +141,6 @@ def test_deadline_shedding_can_be_disabled():
     assert controller.stats()["shed"] == 0
 
 
-def test_head_arrival_and_oldest_wait():
-    controller = AdmissionController()
-    assert controller.head_arrival() is None
-    assert controller.oldest_wait(5.0) == 0.0
-    controller.offer(0, 1, 0.002)
-    controller.offer(1, 0, 0.001)
-    assert controller.head_arrival() == 0.001
-    assert controller.oldest_wait(0.004) == pytest.approx(0.003)
-
-
 def test_identical_call_sequences_make_identical_decisions():
     def run():
         controller = AdmissionController(AdmissionConfig(

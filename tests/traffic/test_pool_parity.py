@@ -203,6 +203,31 @@ def assert_replies_match_pinned(model, results, sent, published):
     return {message[3] for message in results}
 
 
+def stop_outside_result_lock(pool, pid):
+    """SIGSTOP worker ``pid`` at a point where it does not hold the
+    result queue's write lock.
+
+    A worker's feeder thread releases that cross-process lock only after
+    its last message was written, so the parent may already hold the
+    message while the lock is still taken; a worker frozen there would
+    block every other worker's replies.  Stop, look at the lock, and on
+    finding it taken let the holder finish and try again.
+    """
+    import os
+    import signal
+
+    lock = pool._results._wlock
+    while True:
+        os.kill(pid, signal.SIGSTOP)
+        os.waitpid(pid, os.WUNTRACED)        # returns once it is stopped
+        if lock.acquire(block=False):
+            lock.release()
+            return
+        os.kill(pid, signal.SIGCONT)
+        assert lock.acquire(timeout=30.0)    # the holder writes and lets go
+        lock.release()
+
+
 def test_twelve_reloads_under_load_recycle_segments(serving_setup):
     _, model, snapshot_a, snapshot_b, users, items = serving_setup
     preexisting = shm_segments()
@@ -278,7 +303,7 @@ def test_no_segment_is_rewritten_before_every_worker_acked(serving_setup):
         (first,) = shm_segments() - preexisting
         digest = hashlib.sha256((SHM_DIR / first).read_bytes()).digest()
         held = pool.worker_pids()[1]
-        os.kill(held, signal.SIGSTOP)
+        stop_outside_result_lock(pool, held)
         try:
             submit_batches(pool, sent, users, items, 1, worker=1)
             pool.publish(snapshot_b, wait=False)

@@ -75,8 +75,7 @@ def test_different_seeds_give_different_traffic():
 
 
 def test_timestamps_sorted_and_inside_horizon():
-    trace = generate_trace(make_config(arrival="bursty",
-                                       diurnal_amplitude=0.4))
+    trace = generate_trace(make_config())
     assert np.all(np.diff(trace.times) >= 0)
     assert trace.times[0] >= 0.0
     assert trace.times[-1] <= trace.horizon
@@ -89,35 +88,12 @@ def test_realized_rate_tracks_mean_qps():
     assert trace.offered_qps == pytest.approx(5000.0, rel=0.1)
 
 
-def test_bursty_rate_normalization_still_honest():
-    """Burst modulation must not inflate the time-averaged offered rate."""
-    trace = generate_trace(make_config(
-        duration=2.0, mean_qps=5000.0, arrival="bursty",
-        burst_multiplier=8.0, burst_fraction=0.15,
-    ))
-    assert trace.offered_qps == pytest.approx(5000.0, rel=0.15)
-
-
 def test_domain_mix_is_zipf_skewed():
     trace = generate_trace(make_config(duration=2.0, domain_skew=1.2))
     counts = trace.per_domain_counts()
     ordered = [counts[d] for d in range(trace.n_domains)]
     assert ordered[0] > ordered[-1] * 2
     assert ordered == sorted(ordered, reverse=True)
-
-
-def test_at_rate_keeps_the_request_sequence_identical():
-    trace = generate_trace(make_config())
-    faster = trace.at_rate(2.0 * trace.offered_qps)
-    assert np.array_equal(faster.users, trace.users)
-    assert np.array_equal(faster.items, trace.items)
-    assert np.array_equal(faster.domains, trace.domains)
-    assert faster.offered_qps == pytest.approx(2.0 * trace.offered_qps)
-    # Same inter-arrival *structure*, uniformly compressed.
-    np.testing.assert_allclose(
-        faster.interarrival_seconds() * 2.0,
-        trace.interarrival_seconds(), rtol=1e-9, atol=1e-12,
-    )
 
 
 def test_head_truncates_consistently():
@@ -128,25 +104,9 @@ def test_head_truncates_consistently():
     assert np.array_equal(head.times, trace.times[:32])
 
 
-def test_diurnal_curve_moves_load_within_the_day():
-    trace = generate_trace(make_config(
-        duration=2.0, diurnal_amplitude=0.8, diurnal_period=2.0,
-    ))
-    # First half-period is the sine peak, second half the trough.
-    peak = int(np.sum(trace.times < 1.0))
-    trough = len(trace) - peak
-    assert peak > 1.3 * trough
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         make_config(mean_qps=0.0)
-    with pytest.raises(ValueError):
-        make_config(arrival="lumpy")
-    with pytest.raises(ValueError):
-        make_config(diurnal_amplitude=1.0)
-    with pytest.raises(ValueError):
-        make_config(arrival="bursty", burst_multiplier=0.5)
     with pytest.raises(ValueError):
         make_config(slot_seconds=0.0)
 
