@@ -2,8 +2,8 @@
 
 A :class:`Trace` is what the serving tier actually faces: a totally
 ordered sequence of arrival-timestamped ``(t, user, item, domain)``
-requests.  :func:`generate_trace` models the property of Taobao-style
-mixed-domain traffic that a uniform synthetic loop cannot (Section IV-E
+requests.  :func:`generate_trace` draws one with the skew of Taobao-style
+mixed-domain traffic that a uniform synthetic loop lacks (Section IV-E
 serves hundreds of domains whose request mix is anything but flat):
 
 * **Zipf domain mix** — request domains follow a Zipf-like law, so a few
