@@ -14,6 +14,11 @@ point twice, from fresh objects.  Per entry point three checks must hold:
 ``pinned``
     both children equal the literal in :data:`PINNED`.
 
+One entry point brings its own data: ``ablation_aucs`` is Tables VI/VII
+in miniature (full MAMDR, w/o DN, w/o DR on two trainable-embedding
+domains, two epochs) and pins the digest of their per-domain AUCs, so a
+numerics change that would move the paper's ablation cells fails here.
+
 The plant tests show what the oracle catches.  Each plant is a runtime
 bug of one effect kind, monkeypatched into the DR step
 (``repro.core.regularization``) inside the children only — ``src/``
@@ -42,6 +47,7 @@ Run it with ``PYTHONPATH=src python -m pytest tests/test_determinism_oracle.py``
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -78,6 +84,8 @@ PINNED = {
         "fa6f3dbfa00f141d32d38abd807ad81e53743281d86d6bb1356e5805c6712fd8",
     "cluster_async":
         "dfbe1117e0143130c1f536f98632a1bc5f921ccf2ecd30d2d330db4e0a0dc256",
+    "ablation_aucs":
+        "07a19ac76800717fb8cdb0fe307d4e8fc38169e15803d855b1176ca75ac66088",
 }
 ENTRY_POINTS = tuple(PINNED)
 
@@ -148,6 +156,30 @@ def load_scenario(name):
 # ----------------------------------------------------------------------
 # The scenario's entry points (child side)
 # ----------------------------------------------------------------------
+def ablation_aucs():
+    """Tables VI/VII in miniature: full MAMDR, w/o DN and w/o DR on a
+    two-domain trainable-embedding dataset with a sparse second domain;
+    the digest of every variant's per-domain test AUCs."""
+    from repro.data import DomainSpec, SyntheticConfig, generate_dataset
+    from repro.experiments.runner import run_comparison
+    from repro.experiments.table6 import ABLATION_METHODS
+
+    dataset = generate_dataset(SyntheticConfig(
+        name="ablation_mini",
+        domains=(DomainSpec("A", 900, 0.3), DomainSpec("B", 240, 0.4)),
+        n_users=300, n_items=150, latent_dim=8, feature_mode="trainable",
+        feature_dim=8, seed=7,
+    ))
+    config = TrainConfig(epochs=2, batch_size=32, inner_steps=2, dr_steps=1,
+                         sample_k=1)
+    variants = [spec for spec in ABLATION_METHODS
+                if spec.framework == "mamdr"]
+    result = run_comparison(variants, dataset, config=config, seed=0)
+    aucs = {name: report.per_domain
+            for name, report in result.reports.items()}
+    return hashlib.sha256(json.dumps(aucs).encode()).hexdigest()
+
+
 def entry_points(scenario, stream, dataset):
     """Name → zero-argument callable that trains from fresh objects and
     returns the SHA-256 digest of the resulting states."""
@@ -183,6 +215,7 @@ def entry_points(scenario, stream, dataset):
         ),
         "cluster_sync": lambda: cluster("sync"),
         "cluster_async": lambda: cluster("async"),
+        "ablation_aucs": ablation_aucs,
     }
 
 
