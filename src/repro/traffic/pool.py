@@ -14,18 +14,21 @@ serving tier's parity property survives the process boundary.
 
 Hot reload under load: :meth:`PredictorPool.publish` materializes the
 next generation's segment, then broadcasts a reload message through each
-worker's task queue.  The flip is therefore *in-band*: batches enqueued
+worker's task pipe.  The flip is therefore *in-band*: batches enqueued
 before the reload score under the old generation, batches after it under
 the new one, and every response carries its ``(generation, version)`` tag
 so callers can verify against the right reference.  An old segment is
 retired only after every worker acknowledged the flip; the first one
 retired stays mapped as the single *spare* the next publish packs into.
 
-Transport is deliberately boring: one task pipe per worker (reloads need
-a broadcast), one shared result queue (its feeder thread keeps workers
-from blocking on a full pipe), numpy batches pickled across.  Per-batch
-IPC cost is amortized by micro-batching upstream — callers dispatch
-admission-controlled per-domain batches, not single rows.
+Transport is deliberately boring: one duplex pipe per worker, tasks one
+way and replies the other, numpy batches pickled across.  The parent
+waits on all pipes and process sentinels at once, so a stopped or killed
+worker holds up no other worker's replies, and a dead one is named once
+everything it sent is read.  A worker blocked on a full reply pipe reads
+no tasks, so the parent reads its replies before sending it more.
+Per-batch IPC cost is amortized by micro-batching upstream — callers
+dispatch admission-controlled per-domain batches, not single rows.
 
 :func:`check_pool_parity` is the pool's acceptance check: it publishes
 successive generations mid-trace and compares every pooled response
@@ -36,10 +39,10 @@ generation the response reports.
 from __future__ import annotations
 
 import os
-import queue as queue_module
-import time
+import select
 import traceback
-from multiprocessing import get_all_start_methods, get_context
+from collections import deque
+from multiprocessing import connection, get_all_start_methods, get_context
 
 import numpy as np
 
@@ -49,9 +52,6 @@ from ..utils import profiling
 
 __all__ = ["PoolError", "PredictorPool", "check_pool_parity",
            "fork_available"]
-
-#: how long a blocking result wait sleeps before checking worker liveness.
-_LIVENESS_SLICE_S = 0.1
 
 
 def fork_available():
@@ -102,28 +102,27 @@ class _WorkerStore:
             self._arena.close()
 
 
-def _worker_main(worker_id, tasks, results, model):
+def _worker_main(worker_id, pipe, model):
     """Forked child: attach, score, flip generations, report errors."""
     store = _WorkerStore()
     predictor = Predictor(model, store)
     try:
         while True:
-            message = tasks.recv()
+            message = pipe.recv()
             kind = message[0]
             if kind == "stop":
-                results.put(("stopped", worker_id))
                 break
             if kind == "reload":
                 manifest = message[1]
                 predictor.invalidate_caches()
                 store.flip(manifest)
-                results.put(("reloaded", worker_id, manifest["generation"]))
+                pipe.send(("reloaded", worker_id, manifest["generation"]))
             elif kind == "score":
                 _, batch_id, domain, users, items = message
                 generation = store.generation
                 version = store.current().version
                 scores = predictor.predict_batch(users, items, domain)
-                results.put((
+                pipe.send((
                     "scores", worker_id, batch_id, generation, version,
                     np.asarray(scores, dtype=np.float64),
                 ))
@@ -132,10 +131,10 @@ def _worker_main(worker_id, tasks, results, model):
     except (EOFError, KeyboardInterrupt):  # pragma: no cover - shutdown races
         pass
     except Exception:
-        results.put(("error", worker_id, traceback.format_exc()))
+        pipe.send(("error", worker_id, traceback.format_exc()))
     finally:
         store.detach()
-        tasks.close()
+        pipe.close()
 
 
 class PredictorPool:
@@ -168,8 +167,8 @@ class PredictorPool:
         self.n_workers = int(n_workers)
         self._ctx = get_context("fork")
         self._procs = []
-        self._task_pipes = []
-        self._results = None
+        self._pipes = []
+        self._replies = deque()      # score replies read, not handed out
         self._generation = 0
         self._arenas = {}            # generation -> owner-side arena
         self._spare = None           # retired arena the next publish reuses
@@ -192,17 +191,16 @@ class PredictorPool:
         from multiprocessing import resource_tracker
 
         resource_tracker.ensure_running()
-        self._results = self._ctx.Queue()
         for worker_id in range(self.n_workers):
             parent_end, child_end = self._ctx.Pipe()
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(worker_id, child_end, self._results, self._model),
+                args=(worker_id, child_end, self._model),
                 daemon=True,
             )
             proc.start()
             child_end.close()
-            self._task_pipes.append(parent_end)
+            self._pipes.append(parent_end)
             self._procs.append(proc)
         self.started = True
         return self
@@ -217,25 +215,30 @@ class PredictorPool:
     def shutdown(self, timeout=10.0):
         if not self.started:
             return
-        for pipe in self._task_pipes:
+        for worker in range(self.n_workers):
             try:
-                pipe.send(("stop",))
-            except (BrokenPipeError, OSError):  # pragma: no cover
+                self._send(worker, ("stop",))
+            except PoolError:
                 pass
-        for proc in self._procs:
+        for pipe, proc in zip(self._pipes, self._procs):
+            # Read until the worker closes its end: one blocked writing a
+            # reply nobody drained would never read its stop.
+            try:
+                while pipe.poll(timeout):
+                    pipe.recv()
+            except (EOFError, OSError):
+                pass
             proc.join(timeout)
             if proc.is_alive():  # pragma: no cover - hung worker backstop
                 proc.terminate()
                 proc.join(timeout)
-        for pipe in self._task_pipes:
             pipe.close()
-        self._results.close()
-        self._results.join_thread()
         for arena in filter(None, (*self._arenas.values(), self._spare)):
             arena.unlink()
         self._arenas.clear()
         self._spare = None
-        self._procs, self._task_pipes = [], []
+        self._procs, self._pipes = [], []
+        self._replies.clear()
         self.started = False
 
     # ------------------------------------------------------------------
@@ -251,7 +254,7 @@ class PredictorPool:
         With ``wait=True`` blocks until every worker acknowledged the
         flip (score results arriving meanwhile are buffered and returned).
         With ``wait=False`` — hot reload *under load* — the reload rides
-        each worker's task queue behind whatever batches are already
+        each worker's task pipe behind whatever batches are already
         queued; acks are collected during normal result draining and the
         superseded segment is retired once the last worker flipped.
         Returns the buffered score results (empty list for ``wait=False``).
@@ -270,14 +273,9 @@ class PredictorPool:
         profiling.count("traffic.pool_publish")
         if not wait:
             return []
-        buffered = []
         while self._pending_acks.get(self._generation):
-            message = self._next_result(timeout=30.0)
-            if message[0] == "scores":
-                self._inflight -= 1
-                buffered.append(message)
-            # acks/errors are handled inside _next_result
-        return buffered
+            self._await(timeout=30.0)
+        return self._take(len(self._replies))
 
     # ------------------------------------------------------------------
     # Scoring
@@ -308,28 +306,18 @@ class PredictorPool:
 
     def poll_results(self):
         """Non-blocking drain: every score result currently available."""
-        out = []
-        while True:
-            try:
-                message = self._results.get_nowait()
-            except queue_module.Empty:
-                return out
-            handled = self._handle_control(message)
-            if not handled:
-                self._inflight -= 1
-                out.append(message)
+        for worker in range(self.n_workers):
+            while self._receive(worker):
+                pass
+        return self._take(len(self._replies))
 
     def drain(self, expected=None, timeout=30.0):
         """Blocking drain of ``expected`` score results (default: all
         in-flight batches)."""
         expected = self._inflight if expected is None else int(expected)
-        out = []
-        while len(out) < expected:
-            message = self._next_result(timeout=timeout)
-            if message[0] == "scores":
-                self._inflight -= 1
-                out.append(message)
-        return out
+        while len(self._replies) < expected:
+            self._await(timeout)
+        return self._take(expected)
 
     def score(self, users, items, domain):
         """Synchronous convenience: one batch, one worker, its scores."""
@@ -341,61 +329,73 @@ class PredictorPool:
     # Internals
     # ------------------------------------------------------------------
     def _send(self, worker, message):
+        """Send a task, reading the worker's replies while its pipe is full."""
+        pipe = self._pipes[worker]
         try:
-            self._task_pipes[worker].send(message)
-        except BrokenPipeError:
+            while not select.select([pipe], [pipe], [])[1]:
+                if not self._receive(worker):
+                    raise self._worker_died(worker)
+            pipe.send(message)
+        except OSError:
             raise self._worker_died(worker) from None
+
+    def _receive(self, worker):
+        """Read one message of ``worker``: a score reply is buffered,
+        control traffic handled.  False when there is none to read or the
+        worker is gone (its pipe at EOF or reset)."""
+        pipe = self._pipes[worker]
+        try:
+            if not pipe.poll():
+                return False
+            message = pipe.recv()
+        except (EOFError, OSError):
+            return False
+        if message[0] == "scores":
+            self._replies.append(message)
+        else:
+            self._handle_control(message)
+        return True
+
+    def _await(self, timeout):
+        """Block until a message of some worker was read.  A worker whose
+        sentinel fired or whose pipe read EOF is named dead once nothing
+        it sent before dying is left to read."""
+        handles = self._pipes + [proc.sentinel for proc in self._procs]
+        ready = connection.wait(handles, timeout)
+        if not ready:
+            raise PoolError(
+                f"no pool result within {timeout}s "
+                f"({self._inflight} batches in flight)"
+            )
+        workers = {handles.index(handle) % self.n_workers for handle in ready}
+        dead = [worker for worker in workers if not self._receive(worker)]
+        if len(dead) == len(workers):
+            raise self._worker_died(dead[0])
+
+    def _take(self, count):
+        """Hand out the first ``count`` buffered score replies."""
+        self._inflight -= count
+        return [self._replies.popleft() for _ in range(count)]
 
     def _worker_died(self, worker):
         proc = self._procs[worker]
-        proc.join(_LIVENESS_SLICE_S)
+        proc.join(1.0)   # its pipe can read EOF a moment before it exits
         return PoolError(
             f"worker {worker} (pid {proc.pid}) exited with code "
             f"{proc.exitcode} ({self._inflight} batches in flight)"
         )
 
-    def _next_result(self, timeout):
-        """The next result, waiting in slices so a dead worker is named
-        as soon as it is seen exited — after one more slice, in which
-        anything it sent before exiting is still read."""
-        deadline = time.monotonic() + timeout
-        dead = None
-        while True:
-            try:
-                message = self._results.get(timeout=_LIVENESS_SLICE_S)
-            except queue_module.Empty:
-                if dead is not None:
-                    raise self._worker_died(dead) from None
-                dead = next((worker for worker, proc in enumerate(self._procs)
-                             if not proc.is_alive()), None)
-                if dead is None and time.monotonic() >= deadline:
-                    raise PoolError(
-                        f"no pool result within {timeout}s "
-                        f"({self._inflight} batches in flight)"
-                    ) from None
-                continue
-            self._handle_control(message)
-            return message
-
     def _handle_control(self, message):
-        """Process control traffic; True when ``message`` was control."""
-        kind = message[0]
-        if kind == "scores":
-            return False
-        if kind == "reloaded":
-            _, worker_id, generation = message
-            acks = self._pending_acks.get(generation)
-            if acks is not None:
-                acks.discard(worker_id)
-                if not acks:
-                    del self._pending_acks[generation]
-                    self._retire_generations(keep=generation)
-            return True
-        if kind == "error":
+        """Process a control message: a worker's error, or a reload ack."""
+        if message[0] == "error":
             raise PoolError(f"worker {message[1]} failed:\n{message[2]}")
-        if kind == "stopped":
-            return True
-        raise PoolError(f"unknown pool result {kind!r}")  # pragma: no cover
+        _, worker_id, generation = message          # ("reloaded", ...)
+        acks = self._pending_acks.get(generation)
+        if acks is not None:
+            acks.discard(worker_id)
+            if not acks:
+                del self._pending_acks[generation]
+                self._retire_generations(keep=generation)
 
     def _retire_generations(self, keep):
         """Retire every fully superseded segment older than ``keep``.
@@ -408,8 +408,6 @@ class PredictorPool:
         for generation in sorted(self._arenas):
             if generation >= keep:
                 continue
-            if any(g <= generation for g in self._pending_acks):
-                continue  # pragma: no cover - defensive; acks are ordered
             arena = self._arenas.pop(generation)
             if self._spare is None:
                 arena.snapshot = None  # keep the mapping, not the heap copy

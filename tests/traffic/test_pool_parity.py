@@ -9,7 +9,11 @@ under the generation the response reports.
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import os
+import signal
+import time
 import weakref
 
 import numpy as np
@@ -163,8 +167,6 @@ def test_pool_requires_a_published_snapshot(serving_setup):
 
 
 def test_worker_processes_are_real(serving_setup):
-    import os
-
     _, model, snapshot_a, *_ = serving_setup
     with PredictorPool(model, n_workers=2) as pool:
         pool.publish(snapshot_a)
@@ -201,31 +203,6 @@ def assert_replies_match_pinned(model, results, sent, published):
                                            sent[batch_id][0])
         assert np.array_equal(scores, np.asarray(expected))
     return {message[3] for message in results}
-
-
-def stop_outside_result_lock(pool, pid):
-    """SIGSTOP worker ``pid`` at a point where it does not hold the
-    result queue's write lock.
-
-    A worker's feeder thread releases that cross-process lock only after
-    its last message was written, so the parent may already hold the
-    message while the lock is still taken; a worker frozen there would
-    block every other worker's replies.  Stop, look at the lock, and on
-    finding it taken let the holder finish and try again.
-    """
-    import os
-    import signal
-
-    lock = pool._results._wlock
-    while True:
-        os.kill(pid, signal.SIGSTOP)
-        os.waitpid(pid, os.WUNTRACED)        # returns once it is stopped
-        if lock.acquire(block=False):
-            lock.release()
-            return
-        os.kill(pid, signal.SIGCONT)
-        assert lock.acquire(timeout=30.0)    # the holder writes and lets go
-        lock.release()
 
 
 def test_twelve_reloads_under_load_recycle_segments(serving_setup):
@@ -291,8 +268,6 @@ def test_no_segment_is_rewritten_before_every_worker_acked(serving_setup):
     """Hold one worker on generation 1 (SIGSTOP): its segment must stay
     live, unwritten and out of the spare slot until that worker flipped."""
     import hashlib
-    import os
-    import signal
 
     _, model, snapshot_a, snapshot_b, users, items = serving_setup
     preexisting = shm_segments()
@@ -303,7 +278,8 @@ def test_no_segment_is_rewritten_before_every_worker_acked(serving_setup):
         (first,) = shm_segments() - preexisting
         digest = hashlib.sha256((SHM_DIR / first).read_bytes()).digest()
         held = pool.worker_pids()[1]
-        stop_outside_result_lock(pool, held)
+        os.kill(held, signal.SIGSTOP)
+        os.waitpid(held, os.WUNTRACED)       # returns once it is stopped
         try:
             submit_batches(pool, sent, users, items, 1, worker=1)
             pool.publish(snapshot_b, wait=False)
@@ -338,10 +314,6 @@ def test_no_segment_is_rewritten_before_every_worker_acked(serving_setup):
 def test_dead_worker_is_named_promptly(serving_setup):
     """A worker killed with a batch in flight fails the drain fast, by
     name, and later sends to its pipe fail the same way."""
-    import os
-    import signal
-    import time
-
     _, model, snapshot_a, _, users, items = serving_setup
     with PredictorPool(model, n_workers=2) as pool:
         pool.publish(snapshot_a)
@@ -355,3 +327,69 @@ def test_dead_worker_is_named_promptly(serving_setup):
         assert time.monotonic() - start < 5.0
         with pytest.raises(PoolError, match="worker 0"):
             pool.submit(1, 0, users[:8], items[:8], worker=0)
+
+
+class Hung(Exception):
+    """Raised by the alarm that guards a test which would otherwise hang."""
+
+
+@contextlib.contextmanager
+def fail_after(seconds):
+    """Turn a hang into a failure: SIGALRM raises :class:`Hung`, and
+    again each second while the cleanup under it blocks too."""
+    def expire(signum, frame):
+        signal.alarm(1)
+        raise Hung(f"still blocked after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_undrained_batches_cannot_deadlock_the_pool(serving_setup):
+    """5 000 batches to one worker before any drain: both directions of
+    its pipe fill, and the pool must read replies to keep sending."""
+    _, model, snapshot_a, _, users, items = serving_setup
+    sent = {}
+    with fail_after(60), PredictorPool(model, n_workers=1) as pool:
+        pool.publish(snapshot_a)
+        submit_batches(pool, sent, users, items, 5000)
+        results = pool.drain()
+    assert sorted(message[2] for message in results) == sorted(sent)
+    assert assert_replies_match_pinned(model, results, sent,
+                                       {1: snapshot_a}) == {1}
+
+
+def test_a_stopped_or_dead_worker_does_not_wedge_the_other(serving_setup):
+    """Worker 1 stopped at arbitrary points with batches in flight:
+    worker 0 keeps replying.  Killed, worker 1 is named by the drain."""
+    _, model, snapshot_a, _, users, items = serving_setup
+    sent = {}
+    with PredictorPool(model, n_workers=2) as pool:
+        pool.publish(snapshot_a)
+        held = pool.worker_pids()[1]
+        for _ in range(10):
+            submit_batches(pool, sent, users, items, 4, worker=1)
+            os.kill(held, signal.SIGSTOP)
+            os.waitpid(held, os.WUNTRACED)
+            try:
+                start = time.monotonic()
+                submit_batches(pool, sent, users, items, 1, worker=0)
+                answer = len(sent) - 1
+                replies = []
+                while answer not in {message[2] for message in replies}:
+                    replies += pool.drain(expected=1, timeout=5.0)
+                assert time.monotonic() - start < 5.0
+            finally:
+                os.kill(held, signal.SIGCONT)
+        os.kill(held, signal.SIGSTOP)
+        submit_batches(pool, sent, users, items, 1, worker=1)
+        os.kill(held, signal.SIGKILL)
+        start = time.monotonic()
+        with pytest.raises(PoolError, match="worker 1"):
+            pool.drain()
+        assert time.monotonic() - start < 5.0
