@@ -14,7 +14,7 @@ serving tier's parity property survives the process boundary.
 
 Hot reload under load: :meth:`PredictorPool.publish` materializes the
 next generation's segment, then broadcasts a reload message through each
-worker's task pipe.  The flip is therefore *in-band*: batches enqueued
+worker's task pipe.  The flip is therefore *in-band*: batches sent
 before the reload score under the old generation, batches after it under
 the new one, and every response carries its ``(generation, version)`` tag
 so callers can verify against the right reference.  An old segment is
@@ -255,7 +255,7 @@ class PredictorPool:
         flip (score results arriving meanwhile are buffered and returned).
         With ``wait=False`` — hot reload *under load* — the reload rides
         each worker's task pipe behind whatever batches are already
-        queued; acks are collected during normal result draining and the
+        waiting; acks are collected during normal result draining and the
         superseded segment is retired once the last worker flipped.
         Returns the buffered score results (empty list for ``wait=False``).
         """
@@ -461,7 +461,7 @@ def check_pool_parity(pool, model, snapshots, trace, max_batch=32):
     ``snapshots`` are published to the pool as successive generations;
     the trace's batches are split evenly across them, with each reload
     after the *n*-th chunk issued ``wait=False`` — in-band, while that
-    chunk's batches are still queued at the workers.  Every response is
+    chunk's batches are still waiting at the workers.  Every response is
     then compared bitwise against a fresh single-process
     :class:`Predictor` pinned to the generation the response reports.
     """
@@ -481,7 +481,7 @@ def check_pool_parity(pool, model, snapshots, trace, max_batch=32):
         generation = pool.generation + 1
         references[generation] = Predictor(model, _Pinned(snapshot))
         # First publish waits (workers must attach before scoring);
-        # later ones ride the queues behind in-flight batches.
+        # later ones ride the pipes behind in-flight batches.
         results.extend(pool.publish(snapshot, wait=stage == 0))
         for batch_id in range(stage * chunk, min((stage + 1) * chunk,
                                                  len(batches))):

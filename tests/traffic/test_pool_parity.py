@@ -352,13 +352,17 @@ def fail_after(seconds):
 
 def test_undrained_batches_cannot_deadlock_the_pool(serving_setup):
     """5 000 batches to one worker before any drain: both directions of
-    its pipe fill, and the pool must read replies to keep sending."""
+    its pipe fill, and the pool must read replies to keep sending.  The
+    next 5 000 are never drained, and shutdown must not wait on them."""
     _, model, snapshot_a, _, users, items = serving_setup
     sent = {}
     with fail_after(60), PredictorPool(model, n_workers=1) as pool:
         pool.publish(snapshot_a)
         submit_batches(pool, sent, users, items, 5000)
         results = pool.drain()
+        submit_batches(pool, {}, users, items, 5000)
+        start = time.monotonic()
+    assert time.monotonic() - start < 5.0
     assert sorted(message[2] for message in results) == sorted(sent)
     assert assert_replies_match_pinned(model, results, sent,
                                        {1: snapshot_a}) == {1}
